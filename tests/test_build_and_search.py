@@ -294,6 +294,57 @@ class TestEngineFeatures:
                                      sample_docs=1000)
         assert "everywhere" in split2 and len(split2["everywhere"]) >= 4
 
+    def test_split_placement_lists_each_partition_once(self, ray_session,
+                                                       tmp_path):
+        """An ultra-hot term whose sampled df is below ``split_ways``
+        must not list one partition several times: the reader would read
+        that partition's postings once per listing and count them again
+        each time."""
+        import ray.data as rd
+
+        from yetisearch_ray.index.build import (IndexConfig, build_index,
+                                                sketch_hot_terms)
+
+        rows = [{"doc_id": i, "content": f"everywhere word{i}"}
+                for i in range(3)]
+        cfg = IndexConfig(fields=[("content", "content")],
+                          store_columns=["content"], num_partitions=8)
+        _, split = sketch_hot_terms(rd.from_items(rows), cfg, split_ways=4)
+        assert "everywhere" in split
+        for term, parts in split.items():
+            assert len(parts) == len(set(parts)), (term, parts)
+            assert len(parts) <= 3, (term, parts)  # capped at df
+        idx = str(tmp_path / "idx")
+        build_index(rd.from_items(rows), idx, cfg)
+        post = open_index(idx).postings("everywhere")[0]
+        assert post.doc_ids.tolist() == [0, 1, 2]
+        assert post.tfs.tolist() == [1, 1, 1]
+
+    def test_missing_segment_names_its_partition(self, ray_session,
+                                                 tmp_path):
+        """A committed segment file that is gone is an error naming the
+        partition, not an absent term."""
+        import ray.data as rd
+
+        from yetisearch_ray.index.build import IndexConfig, build_index
+
+        rows = [{"doc_id": i, "content": f"alpha beta{i % 5} gamma"}
+                for i in range(60)]
+        idx = str(tmp_path / "idx")
+        build_index(rd.from_items(rows), idx,
+                    IndexConfig(fields=[("content", "content")],
+                                store_columns=["content"], num_partitions=8))
+        reader = open_index(idx)
+        (part,) = reader._term_parts("beta3")
+        other = next(t for t in ("beta0", "beta1", "beta2", "beta4")
+                     if part not in reader._term_parts(t))
+        os.remove(os.path.join(idx, "postings",
+                               f"part={part:05d}-g000.parquet"))
+        eng = SearchEngine(open_index(idx), cache_ttl=0.0)
+        with pytest.raises(FileNotFoundError, match=f"partition {part:05d}"):
+            eng.search("beta3")
+        assert eng.search(other).num_rows == 12
+
     def test_resume_skips_committed(self, built_index, tiny_corpus_dir):
         """Resuming a committed build re-runs nothing destructive and keeps
         results identical."""

@@ -72,6 +72,24 @@ class TestCodec:
         np.testing.assert_array_equal(jpeg_decode(patched),
                                       jpeg_decode(enc))
 
+    def test_truncated_stream_ending_in_ff_raises_valueerror(self):
+        enc = jpeg_encode(_parse_ppm(synth_ppm(2, width=16, height=16)))
+        assert enc.endswith(b"\xff\xd9")
+        sos = enc.find(b"\xff\xda")
+        # cut inside the entropy data, and inside the marker segments
+        for cut in (enc[:-1], enc[:sos + 1]):
+            assert cut.endswith(b"\xff")
+            with pytest.raises(ValueError, match="truncated stream"):
+                jpeg_decode(cut)
+
+    def test_fill_bytes_before_markers_are_skipped(self):
+        enc = jpeg_encode(_parse_ppm(synth_ppm(4, width=16, height=16)))
+        ref = jpeg_decode(enc)
+        sos = enc.find(b"\xff\xda")
+        for patched in (enc[:sos] + b"\xff\xff" + enc[sos:],
+                        enc[:-2] + b"\xff\xff\xff" + enc[-2:]):
+            np.testing.assert_array_equal(jpeg_decode(patched), ref)
+
 
 class TestRayStages:
     def test_jpeg_pipeline_stats(self, ray_session):

@@ -220,8 +220,9 @@ def sketch_hot_terms(ds, cfg: "IndexConfig", *, sample_docs: int = 2000,
             if df >= n_sampled * split_df_ratio:
                 # ULTRA-hot term (present in most docs): always split
                 ways = split_ways
+            # a term cannot be split finer than its sampled docs
             ways = min(max(ways, int(np.ceil(df / budget))),
-                       cfg.num_partitions)
+                       cfg.num_partitions, df)
         if ways >= 2:
             # SPLIT postings across `ways` partitions by doc-hash salt;
             # the reader merges the sub-lists (positions preserved —
@@ -232,7 +233,9 @@ def sketch_hot_terms(ds, cfg: "IndexConfig", *, sample_docs: int = 2000,
                 p = int(np.argmin(loads))
                 parts.append(p)
                 loads[p] += df // ways
-            split_map[term] = parts
+            # the least-loaded partition can win twice; listing it twice
+            # would make the reader read (and count) its postings twice
+            split_map[term] = list(dict.fromkeys(parts))
         else:
             p = int(np.argmin(loads))
             hot_map[term] = p

@@ -443,9 +443,9 @@ def _near_dup_pairs_ivf(ds, *, threshold, vec_col, id_col, round_to,
     from ray.data.aggregate import Min
 
     def batch_distinct(t: pa.Table) -> pa.Table:
-        return t.group_by(["id_a", "id_b"]).aggregate(
-            [("cosine", "min")]).rename_columns(
-                ["id_a", "id_b", "cosine"])
+        out = t.group_by(["id_a", "id_b"]).aggregate([("cosine", "min")])
+        return pa.table({"id_a": out["id_a"], "id_b": out["id_b"],
+                         "cosine": out["cosine_min"]})
 
     return (ds.map_batches(assign, batch_format="pyarrow")
             .groupby("bucket")

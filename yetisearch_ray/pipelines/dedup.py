@@ -834,9 +834,9 @@ def simhash_near_pairs(ds, *, text_col="text", id_col="doc_id", max_hamming=3,
     from ray.data.aggregate import Min
 
     def batch_distinct(t: pa.Table) -> pa.Table:
-        return t.group_by(["id_a", "id_b"]).aggregate(
-            [("hamming", "min")]).rename_columns(
-                ["id_a", "id_b", "hamming"])
+        out = t.group_by(["id_a", "id_b"]).aggregate([("hamming", "min")])
+        return pa.table({"id_a": out["id_a"], "id_b": out["id_b"],
+                         "hamming": out["hamming_min"]})
 
     def tidy(t: pa.Table) -> pa.Table:
         return pa.table({"id_a": t["id_a"], "id_b": t["id_b"],

@@ -345,6 +345,10 @@ def jpeg_decode(payload: bytes) -> np.ndarray:
     while pos < len(payload):
         if payload[pos] != 0xFF:
             raise ValueError("marker expected")
+        while pos + 1 < len(payload) and payload[pos + 1] == 0xFF:
+            pos += 1  # fill bytes may pad any marker
+        if pos + 1 == len(payload):
+            raise ValueError("truncated stream")
         marker = payload[pos + 1]
         pos += 2
         if marker == 0xD9:  # EOI
@@ -396,6 +400,8 @@ def jpeg_decode(payload: bytes) -> np.ndarray:
             while p < len(payload):
                 byte = payload[p]
                 if byte == 0xFF:
+                    if p + 1 == len(payload):
+                        raise ValueError("truncated stream")
                     nxt = payload[p + 1]
                     if nxt == 0x00:
                         raw.append(0xFF)

@@ -64,6 +64,58 @@ class Posting:
 _EMPTY = Posting(np.empty(0, np.uint64), np.empty(0, np.uint64), None)
 
 
+@dataclass
+class _DocstoreDirectory:
+    """Doc-id range of every docstore row group, from the Parquet footers.
+
+    ``files[i]`` is ``(path, footer metadata)``; entry ``j`` is row group
+    ``group[j]`` of file ``file[j]``, holding ids in ``[lo[j], hi[j]]``.
+    A row group without id statistics spans every id, so it is always
+    read.  Like the rest of a reader, this is a snapshot: writes open a
+    fresh reader."""
+
+    files: list
+    schema: pa.Schema
+    file: np.ndarray
+    group: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def load(cls, docs_dir: str, id_column: str) -> "_DocstoreDirectory":
+        files, file, group, lo, hi = [], [], [], [], []
+        # the files a pyarrow dataset would discover, in its order
+        names = sorted(n for n in os.listdir(docs_dir)
+                       if not n.startswith((".", "_")))
+        for fi, name in enumerate(names):
+            path = os.path.join(docs_dir, name)
+            md = pq.read_metadata(path)
+            files.append((path, md))
+            col = md.schema.names.index(id_column)
+            for g in range(md.num_row_groups):
+                st = md.row_group(g).column(col).statistics
+                ranged = st is not None and st.has_min_max
+                file.append(fi)
+                group.append(g)
+                lo.append(st.min if ranged else 0)
+                hi.append(st.max if ranged else (1 << 64) - 1)
+        schema = (files[0][1].schema.to_arrow_schema() if files
+                  else pa.schema([]))
+        return cls(files, schema, np.array(file, np.int64),
+                   np.array(group, np.int64), np.array(lo, np.uint64),
+                   np.array(hi, np.uint64))
+
+    def hits(self, ids: np.ndarray):
+        """``(file index, [row group, ...])`` pairs, in docstore order,
+        for the row groups whose range covers one of the sorted ``ids``."""
+        hit = np.flatnonzero(np.searchsorted(ids, self.lo, "left")
+                             < np.searchsorted(ids, self.hi, "right"))
+        out: dict[int, list[int]] = {}
+        for j in hit:
+            out.setdefault(int(self.file[j]), []).append(int(self.group[j]))
+        return out.items()
+
+
 class IndexReader:
     def __init__(self, index_dir: str, cache_terms: int = 4096,
                  max_generation: int | None = None):
@@ -119,12 +171,22 @@ class IndexReader:
             "maxgen": max_generation,
         }, sort_keys=True, default=str)
         self.mutation_version = _hashlib.md5(state.encode()).hexdigest()[:16]
+        # partition -> generations whose segment file the manifest
+        # promises (committed with terms), so a missing file is an error
+        # rather than an absent term
+        self._segment_gens: dict[int, set[int]] = {}
+        for k, v in (md.get("partitions") or {}).items():
+            g, _, part = k.rpartition(":")
+            gen = int(g or 0)
+            if (v.get("status") == "committed" and v.get("terms", 0) > 0
+                    and (max_generation is None or gen <= max_generation)):
+                self._segment_gens.setdefault(int(part), set()).add(gen)
         self._cache: OrderedDict[str, dict[int, Posting]] = OrderedDict()
         self._cache_max = cache_terms
         self._docs_dir = os.path.join(index_dir, "docs")
         self._doc_meta: dict[str, np.ndarray] | None = None
         self._meta_dense = False
-        self._docs_ds = None
+        self._docs_directory: _DocstoreDirectory | None = None
 
     # ---------------- doc metadata (lazy resident arrays) --------------
     def _load_meta(self):
@@ -211,8 +273,8 @@ class IndexReader:
         one, the long tail by hash."""
         split = self.manifest.data.get("split_terms") or {}
         sp = split.get(term)
-        if sp:
-            return [int(p) for p in sp]
+        if sp:  # deduped: older builds could list a partition twice
+            return list(dict.fromkeys(int(p) for p in sp))
         hot = self.manifest.data.get("hot_terms") or {}
         p = hot.get(term)
         if p is not None:
@@ -221,17 +283,27 @@ class IndexReader:
 
     def _read_term_rows(self, term: str) -> pa.Table | None:
         """Rows for one term across all its partitions and ALL segment
-        generations (plus the legacy single-file layout)."""
+        generations (plus the legacy single-file layout).  Raises
+        ``FileNotFoundError`` naming the partition when a segment the
+        manifest lists as committed is missing."""
         import glob as _glob
 
         files: list[str] = []
         for part in self._term_parts(term):
             pattern = os.path.join(self.index_dir, "postings",
                                    f"part={part:05d}*.parquet")
-            files.extend(sorted(_glob.glob(pattern)))
-        if self.max_generation is not None:
-            files = [f for f in files
-                     if self._file_gen(f) <= self.max_generation]
+            found = sorted(_glob.glob(pattern))
+            if self.max_generation is not None:
+                found = [f for f in found
+                         if self._file_gen(f) <= self.max_generation]
+            missing = (self._segment_gens.get(part, set())
+                       - {self._file_gen(f) for f in found})
+            if missing:
+                raise FileNotFoundError(
+                    f"posting segment of partition {part:05d} missing "
+                    f"(generation {', '.join(map(str, sorted(missing)))} "
+                    f"is committed in the manifest of {self.index_dir})")
+            files.extend(found)
         if not files:
             return None
         tabs = [pq.read_table(f, filters=[("term", "==", term)]) for f in files]
@@ -385,11 +457,35 @@ class IndexReader:
 
     # ---------------- docstore gather ---------------------------------
     def docs(self, doc_ids, columns=None) -> pa.Table:
-        if self._docs_ds is None:
-            self._docs_ds = pads.dataset(self._docs_dir, format="parquet")
-        ids = pa.array(np.asarray(doc_ids, dtype=np.uint64), pa.uint64())
-        flt = pads.field(self.id_column).isin(ids)
-        return self._docs_ds.to_table(columns=columns, filter=flt)
+        """Stored rows whose id is in ``doc_ids``, in docstore order
+        (absent ids are omitted, a repeated id adds no rows).  Reads
+        only the row groups whose footer id range covers a requested id,
+        so a top-k gather decodes a few row groups, not the whole
+        docstore.  Columns and types follow the first docstore file's
+        schema."""
+        if self._docs_directory is None:  # once per reader
+            self._docs_directory = _DocstoreDirectory.load(
+                self._docs_dir, self.id_column)
+        d = self._docs_directory
+        want = np.unique(np.asarray(doc_ids, dtype=np.uint64))
+        cols = d.schema.names if columns is None else list(columns)
+        read = cols if self.id_column in cols else cols + [self.id_column]
+        value_set = pa.array(want, pa.uint64())
+        target = pa.schema([d.schema.field(c) for c in read])
+        pieces = []
+        for fi, groups in d.hits(want):
+            path, md = d.files[fi]
+            with pq.ParquetFile(path, metadata=md) as pf:
+                for g in groups:
+                    t = pf.read_row_group(g, columns=read)
+                    t = t.filter(pc.is_in(t[self.id_column],
+                                          value_set=value_set))
+                    if t.num_rows:
+                        pieces.append(t if t.schema.equals(target)
+                                      else t.cast(target))
+        out = pa.concat_tables(pieces) if pieces else target.empty_table()
+        # projected last: a table without columns still counts its rows
+        return out.select(cols)
 
 
 def open_index(index_dir: str,
@@ -1496,22 +1592,22 @@ class SearchEngine:
         out = pa.table(cols)
         if with_docs or highlight:
             docs = self.index.docs(doc_ids)
+            id_col = self.index.id_column
             # join in doc_id order
-            dt = docs.to_pandas().set_index(self.index.id_column).loc[doc_ids.tolist()]
-            cols_wanted = (list(result_fields) if result_fields
-                           else list(dt.columns))
-            if highlight:
-                body = self.index.fields[-1][1]
-                if body not in cols_wanted and body in dt.columns:
-                    cols_wanted.append(body)
-            for c in cols_wanted:
-                if c in dt.columns and (result_fields is None or c in result_fields
-                                        or not highlight):
-                    out = out.append_column(c, pa.array(dt[c].tolist()))
+            dt = docs.take(pc.index_in(pa.array(doc_ids, pa.uint64()),
+                                       value_set=docs[id_col]))
+            stored = [c for c in dt.column_names if c != id_col]
+            for c in (result_fields or stored):
+                if c in stored:
+                    # result types are inferred from the values (string,
+                    # int64, double; null when the page is empty), not
+                    # the docstore's (large_string, uint64, ...)
+                    out = out.append_column(c, pa.array(dt[c].to_pylist()))
             if highlight:
                 terms = [t for ph in cq.phrases for t in ph.terms]
                 body_col = self.index.fields[-1][1]
-                snips = [make_snippet(s, terms) for s in dt[body_col].tolist()]
+                snips = [make_snippet(s, terms)
+                         for s in dt[body_col].to_pylist()]
                 out = out.append_column("highlight", pa.array(snips, pa.string()))
         if enable_suggestions and out.num_rows == 0:
             # reference attaches a did-you-mean to empty result sets
