@@ -123,7 +123,7 @@ class TestFts5RankIdentity:
     def test_explicit_near(self):
         """Explicit NEAR(t1 … tn, N) query mode: NEAR-restricted match
         set + window-filtered member tf (mode="near", vectorized via
-        the same kernel as the smart NEAR arm — _near_docs)."""
+        the same kernel as the smart NEAR arm — _near_mask)."""
         cases = [(["parse", "buffer"], 10), (["retry", "backoff"], 10),
                  (["merge", "stream"], 4), (["parse", "buffer"], 2),
                  (["parse", "stream", "buffer"], 10),

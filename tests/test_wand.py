@@ -168,6 +168,46 @@ class TestEngineWand:
                                np.array(b["score"].to_pylist()),
                                atol=1e-9), kw
 
+    def test_explain_reports_the_path_search_takes(self, built_index,
+                                                   monkeypatch):
+        """explain() and search() share one WAND gate: over the benchmark
+        query set under each rank modifier, with use_wand=True, the
+        execution_path explain() reports is the one search() runs."""
+        from bench import QUERY_SET
+        from yetisearch_ray.search.engine import SearchEngine, open_index
+
+        eng = SearchEngine(open_index(built_index), cache_ttl=0)
+        taken = []
+        wand_search = eng._wand_search
+
+        def spy(*a, **kw):
+            taken.append("wand")
+            return wand_search(*a, **kw)
+
+        monkeypatch.setattr(eng, "_wand_search", spy)
+        modifiers = [
+            {},
+            dict(rank_column="doc_id", rank_weight=0.5),
+            dict(decay_column="doc_id", decay_origin=0.0, decay_scale=100.0),
+            dict(negative_terms=["buffer"]),
+            dict(restrict_ids=list(range(0, 300, 2))),
+            dict(distance_weight=0.5),
+            dict(slop=2),
+            dict(enable_suggestions=True),
+        ]
+        seen = set()
+        for q, kw in QUERY_SET:
+            for mod in modifiers:
+                opts = dict(kw, **mod, use_wand=True)
+                taken.clear()
+                eng.search(q, limit=10, **opts)
+                path = "wand" if taken else "scan"
+                plan = eng.explain(q, **opts)
+                assert plan["execution_path"] == path, (q, opts)
+                assert plan["wand_eligible"] == (path == "wand"), (q, opts)
+                seen.add(path)
+        assert seen == {"wand", "scan"}
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestWandActorPool:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..search.topk import topk_order
+
 
 def _batch_vectors(t: pa.Table, col: str) -> np.ndarray:
     lst = t[col]
@@ -34,6 +36,17 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return m / norms
+
+
+def _local_topk(ids: np.ndarray, sims: np.ndarray, k: int, round_to: int):
+    """(ids, rounded cosine) of the batch rows that can reach the global
+    top-k, best first.  The final order is (rounded cosine desc, id asc),
+    so the prune ranks on the rounded value and keeps every row tied at
+    the k-th one: a row that rounds into the tie is not lost to a raw
+    float just above it."""
+    cos = np.round(sims, round_to)
+    keep = topk_order(-cos, ids, k)
+    return ids[keep], cos[keep]
 
 
 def _fit_sample(ds, vec_col: str, sample_size: int, seed: int) -> np.ndarray:
@@ -64,12 +77,10 @@ def cosine_topk(ds, query_vec, *, k=10, vec_col="embedding", id_col="vec_id",
     def score(t: pa.Table) -> pa.Table:
         m = _normalize(_batch_vectors(t, vec_col))
         sims = m @ q
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        if sims.size > k:  # local top-k prune before the global sort
-            part = np.argpartition(-sims, k)[: k * 2]
-            ids, sims = ids[part], sims[part]
+        ids, cos = _local_topk(t[id_col].to_numpy(zero_copy_only=False),
+                               sims, k, round_to)
         return pa.table({id_col: pa.array(ids),
-                         "cosine": pa.array(np.round(sims, round_to), pa.float64())})
+                         "cosine": pa.array(cos, pa.float64())})
 
     scored = ds.map_batches(score, batch_format="pyarrow")
     return scored.sort(["cosine", id_col], descending=[True, False]).limit(k)
@@ -97,14 +108,10 @@ def cosine_topk_batch(ds, query_matrix, *, k=10, vec_col="embedding",
         ids = t[id_col].to_numpy(zero_copy_only=False)
         out_q, out_id, out_c = [], [], []
         for j in range(nq):
-            col = sims[:, j]
-            if col.size > k:
-                part = np.argpartition(-col, k)[: k * 2]
-            else:
-                part = np.arange(col.size)
-            out_q.append(np.full(part.size, j, dtype=np.int64))
-            out_id.append(ids[part])
-            out_c.append(np.round(col[part], round_to))
+            top_ids, cos = _local_topk(ids, sims[:, j], k, round_to)
+            out_q.append(np.full(top_ids.size, j, dtype=np.int64))
+            out_id.append(top_ids)
+            out_c.append(cos)
         return pa.table({
             "qid": pa.array(np.concatenate(out_q), pa.int64()),
             id_col: pa.array(np.concatenate(out_id)),
@@ -116,7 +123,7 @@ def cosine_topk_batch(ds, query_matrix, *, k=10, vec_col="embedding",
     def topk_group(t: pa.Table) -> pa.Table:
         c = t["cosine"].to_numpy(zero_copy_only=False)
         ids = t[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -c))[:k]
+        order = topk_order(-c, ids, k)[:k]
         return pa.table({"qid": t["qid"].take(pa.array(order)),
                          id_col: pa.array(ids[order]),
                          "cosine": pa.array(c[order], pa.float64())})
@@ -252,13 +259,10 @@ def ivf_search(out_dir, query_vec, *, k=10, nprobe=None, round_to=6):
     def score(t: pa.Table) -> pa.Table:
         m = _normalize(_batch_vectors(t, vec_col))
         sims = m @ qn
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        if sims.size > k:
-            part = np.argpartition(-sims, k)[: k * 2]
-            ids, sims = ids[part], sims[part]
+        ids, cos = _local_topk(t[id_col].to_numpy(zero_copy_only=False),
+                               sims, k, round_to)
         return pa.table({id_col: pa.array(ids),
-                         "cosine": pa.array(np.round(sims, round_to),
-                                            pa.float64())})
+                         "cosine": pa.array(cos, pa.float64())})
 
     return (ds.map_batches(score, batch_format="pyarrow")
             .sort(["cosine", id_col], descending=[True, False]).limit(k))

@@ -31,6 +31,7 @@ import pyarrow as pa
 import ray
 
 from .engine import MAX_RESULTS, SearchEngine, compile_query, open_index
+from .topk import topk_order
 
 
 @ray.remote(max_restarts=2)
@@ -68,7 +69,7 @@ class DocShardActor:
         # NOTE: min_score is NOT applied here — the single-index engine
         # filters AFTER truncating to the page, so the coordinator must
         # do the same on the merged ranking for exact parity.
-        order = np.lexsort((doc_ids, rank))[:k]
+        order = topk_order(rank, doc_ids, k)[:k]
         return doc_ids[order], rank[order]
 
 

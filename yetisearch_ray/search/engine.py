@@ -34,6 +34,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from .bm25 import K1, B, idf as _idf
+from .topk import topk_order
 from ..analysis.analyzer import StandardAnalyzer
 from ..index.build import term_partition
 from ..index.manifest import Manifest
@@ -265,6 +266,32 @@ class IndexReader:
 
     def dl_total_for(self, doc_ids: np.ndarray) -> np.ndarray:
         return self.meta_for("dl_total", doc_ids)
+
+    @property
+    def n_rows(self) -> int:
+        """Number of doc-meta rows: the size of the row space
+        ``rows_of`` maps into."""
+        self._load_meta()
+        return int(self._doc_meta[self.id_column].size)
+
+    def rows_of(self, doc_ids: np.ndarray) -> np.ndarray:
+        """Doc-meta row of each doc id, i.e. its position in the sorted
+        ``doclens`` id array — the row space the scorer accumulates in
+        (a direct index when ids are dense).  Raises ``KeyError`` for an
+        id without a row: a clamped lookup would credit another doc."""
+        self._load_meta()
+        ids = self._doc_meta[self.id_column]
+        if self._meta_dense:
+            rows = doc_ids.astype(np.intp)
+            hit = doc_ids < ids.size
+        else:
+            rows = np.searchsorted(ids, doc_ids)
+            hit = (ids[np.minimum(rows, ids.size - 1)] == doc_ids if ids.size
+                   else np.zeros(doc_ids.size, dtype=bool))
+        if not hit.all():
+            raise KeyError(f"doc ids without a doc-meta row in "
+                           f"{self.index_dir}: {doc_ids[~hit][:5].tolist()}")
+        return rows
 
     # ---------------- postings ----------------------------------------
     def _term_parts(self, term: str) -> list[int]:
@@ -784,22 +811,20 @@ class SearchEngine:
             # prune to the doc intersection before expanding occurrences —
             # an adjacency run needs every term in the doc, so non-shared
             # docs can never contribute (hot-term phrases shrink a lot)
-            common = plists[0].doc_ids
-            for p in plists[1:]:
-                common = common[np.isin(common, p.doc_ids,
-                                        assume_unique=True)]
-            if common.size == 0:
+            rows, shared = self._shared_rows(plists)
+            n_common = int(np.count_nonzero(shared))
+            if n_common == 0:
                 continue
-            prune = common.size < 0.8 * min(p.doc_ids.size for p in plists)
+            prune = n_common < 0.8 * min(p.doc_ids.size for p in plists)
             keys = []
-            for p in plists:
+            for p, r in zip(plists, rows):
                 if p.doc_ids.size and int(p.doc_ids[-1]) >= (1 << 32):
                     raise ValueError(
                         "phrase matching requires doc_id < 2^32 per shard "
                         f"(got {int(p.doc_ids[-1])}); re-shard the index")
                 tfs64 = p.tfs.astype(np.int64)
                 if prune:
-                    mask = np.isin(p.doc_ids, common, assume_unique=True)
+                    mask = shared[r]
                     docs_exp = np.repeat(p.doc_ids[mask], tfs64[mask])
                     pos = p.positions[np.repeat(mask, tfs64)]
                 else:
@@ -838,9 +863,11 @@ class SearchEngine:
                     if occ.size == 0:
                         break
             if occ.size:
+                # occ ascends, so each doc's occurrences form one run
                 docs = (occ >> SHIFT).astype(np.uint64)
-                uids, counts = np.unique(docs, return_counts=True)
-                out[fid] = Posting(uids, counts.astype(np.uint64), None)
+                starts = np.flatnonzero(np.r_[True, docs[1:] != docs[:-1]])
+                counts = np.diff(np.r_[starts, docs.size]).astype(np.uint64)
+                out[fid] = Posting(docs[starts], counts, None)
         return out
 
     # FTS5 NEAR window rule, probed against stdlib sqlite3 FTS5 (see
@@ -849,41 +876,35 @@ class SearchEngine:
     # SINGLE column (positions never span columns).  This holds for any
     # member count — "tokens between the end of the first phrase and the
     # start of the last" <= N.
-    def _near_docs(self, terms: list[str], distance: int) -> np.ndarray:
-        """doc_ids where all terms occur within a qualifying NEAR window
-        in some single field — NEAR(t1 … tn, N) match set.
+    def _near_mask(self, terms: list[str], distance: int) -> np.ndarray:
+        """Doc-meta rows (bool mask) where all terms occur within a
+        qualifying NEAR window in some single field — the NEAR(t1 … tn,
+        N) match set.
 
         Thin wrapper over the vectorized global-windowing kernel
         (_near_filtered_tfs): a doc has a qualifying window iff any of
         its term instances survive window filtering (tf > 0).  One NEAR
         implementation, no per-doc Python loop."""
-        per_term = [self._term_postings(t) for t in terms]
-
-        def docs_any(posts) -> np.ndarray:
-            arrs = [p.doc_ids for p in posts.values()]
-            if not arrs:
-                return np.empty(0, np.uint64)
-            return np.unique(np.concatenate(arrs))
-
-        cand = docs_any(per_term[0])
-        for pt in per_term[1:]:
-            other = docs_any(pt)
-            cand = cand[np.isin(cand, other, assume_unique=True)]
-            if cand.size == 0:
-                return cand
+        mask = self._row_mask(self._posting_rows(self._term_postings(terms[0])))
+        for t in terms[1:]:
+            mask &= self._row_mask(self._posting_rows(self._term_postings(t)))
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
+            return mask
         ones = np.ones(self.index.nfields, dtype=np.float64)
-        tfs = self._near_filtered_tfs(terms, distance, cand, ones)
-        total = np.zeros(cand.size, dtype=np.float64)
+        tfs = self._near_filtered_tfs(terms, distance, rows, ones)
+        total = np.zeros(rows.size, dtype=np.float64)
         for tfw in tfs:
             total += tfw
-        return cand[total > 0.0]
+        mask[rows[~(total > 0.0)]] = False
+        return mask
 
     def _near_filtered_tfs(self, terms: list[str], distance: int,
-                           match: np.ndarray,
+                           match_rows: np.ndarray,
                            weights: np.ndarray) -> list[np.ndarray]:
         """Per-term, NEAR-window-filtered, column-weighted tf aligned with
-        the sorted ``match`` array — the tf FTS5's bm25() sees for the
-        member phrases of a NEAR group.
+        the ascending doc-meta rows ``match_rows`` — the tf FTS5's bm25()
+        sees for the member phrases of a NEAR group.
 
         FTS5 semantics (probed empirically, tests/test_fts5_goldens.py):
         an instance of a member term counts iff it lies inside some token
@@ -893,7 +914,12 @@ class SearchEngine:
         therefore from its tf.
         """
         nterms = len(terms)
-        out = [np.zeros(match.size, dtype=np.float64) for _ in range(nterms)]
+        if match_rows.size == 0:
+            return [np.zeros(0, dtype=np.float64) for _ in range(nterms)]
+        in_match = np.zeros(self.index.n_rows, dtype=bool)
+        in_match[match_rows] = True
+        acc = [np.zeros(self.index.n_rows, dtype=np.float64)
+               for _ in range(nterms)]
         per_term = [self._term_postings(t) for t in terms]
         span_u = np.uint64(distance + 1)
         SHIFT = np.uint64(32)
@@ -913,17 +939,14 @@ class SearchEngine:
             # hot-term pairs this shrinks the occurrence sort from the
             # UNION of all postings to the (much smaller) co-occurrence
             # set (measured ~3× on two-hot-term smart queries).
-            common = plists[0].doc_ids
-            for p in plists[1:]:
-                common = common[np.isin(common, p.doc_ids,
-                                        assume_unique=True)]
-            if match.size:
-                common = common[np.isin(common, match, assume_unique=True)]
-            if common.size == 0:
+            rows, shared = self._shared_rows(plists)
+            shared &= in_match
+            n_common = int(np.count_nonzero(shared))
+            if n_common == 0:
                 continue
             # masking pays only when it actually shrinks the expansion —
             # for hot-term pairs that co-occur everywhere, skip it
-            prune = common.size < 0.8 * min(p.doc_ids.size for p in plists)
+            prune = n_common < 0.8 * min(p.doc_ids.size for p in plists)
             # Global vectorized windowing over ALL docs at once: pack
             # every occurrence as key = doc<<32 | pos (sorted).  A window
             # ending at occurrence h starts at lo(h) = first key >=
@@ -934,10 +957,10 @@ class SearchEngine:
             # (interval-union via a +1/-1 diff array).  O(n log n), no
             # per-doc Python loop.
             keys_list, lbl_list = [], []
-            for j, p in enumerate(plists):
+            for j, (p, r) in enumerate(zip(plists, rows)):
                 tfs64 = p.tfs.astype(np.int64)
                 if prune:
-                    mask = np.isin(p.doc_ids, common, assume_unique=True)
+                    mask = shared[r]
                     docs_exp = np.repeat(p.doc_ids[mask], tfs64[mask])
                     pos = p.positions[np.repeat(mask, tfs64)]
                 else:
@@ -972,21 +995,60 @@ class SearchEngine:
                 sel = marked & (lbl == j)
                 if not sel.any():
                     continue
-                docs = (keys[sel] >> SHIFT)
-                # NEAR-qualifying docs may have been REMOVED from `match`
-                # (exclude terms): keep only true members, or searchsorted
-                # indexes out of bounds / credits the wrong doc
-                mi = np.searchsorted(match, docs)
-                mi = np.clip(mi, 0, max(match.size - 1, 0))
-                present = match[mi] == docs
-                if present.any():
-                    np.add.at(out[j], mi[present], w)
-        return out
+                at = self.index.rows_of(keys[sel] >> SHIFT)
+                # NEAR-qualifying docs may have been REMOVED from the
+                # match set (exclude terms): only members receive tf
+                at = at[in_match[at]]
+                if at.size:
+                    np.add.at(acc[j], at, w)
+        return [a[match_rows] for a in acc]
 
     # ---------------- scoring -----------------------------------------
+    # The scorer works in the reader's doc-meta row space
+    # (``IndexReader.rows_of``): match sets are bool masks over the rows,
+    # intersections per-row counts, and each arm adds its BM25
+    # contribution at its own rows of a row-length score.  An arm costs
+    # O(rows) instead of the sorts of a doc-id union; the doc-sharded
+    # layout bounds the rows per reader.
     @staticmethod
     def _arm_key(ph: Phrase):
         return ("phrase", tuple(ph.terms), bool(ph.prefix))
+
+    def _posting_rows(self, posts: dict[int, Posting]) -> dict[int, np.ndarray]:
+        """field id -> doc-meta rows of that field's posting."""
+        return {fid: self.index.rows_of(p.doc_ids) for fid, p in posts.items()}
+
+    def _shared_rows(self, plists: list[Posting]):
+        """(doc-meta rows of each posting, mask of the rows all of them
+        hold) — the per-row count of the members is the intersection."""
+        rows = [self.index.rows_of(p.doc_ids) for p in plists]
+        hits = np.zeros(self.index.n_rows, dtype=np.intp)
+        for r in rows:
+            hits[r] += 1
+        return rows, hits == len(plists)
+
+    def _row_mask(self, rows: dict[int, np.ndarray]) -> np.ndarray:
+        """Rows holding an arm in any field: its match set, and by
+        count its df."""
+        mask = np.zeros(self.index.n_rows, dtype=bool)
+        for r in rows.values():
+            mask[r] = True
+        return mask
+
+    def _arm_tfs(self, posts: dict[int, Posting], rows: dict[int, np.ndarray],
+                 mask: np.ndarray, weights: np.ndarray):
+        """(rows, tf) of an arm: the ascending rows holding it in any
+        field and its column-weighted tf there.  Fields add in posting
+        order, as FTS5's weighted tf sum does; a one-field arm is its
+        posting as is."""
+        if len(posts) == 1:
+            (fid, p), = posts.items()
+            return rows[fid], p.tfs.astype(np.float64) * weights[fid]
+        tf = np.zeros(self.index.n_rows, dtype=np.float64)
+        for fid, p in posts.items():
+            tf[rows[fid]] += p.tfs.astype(np.float64) * weights[fid]
+        at = np.flatnonzero(mask)
+        return at, tf[at]
 
     def arm_dfs(self, cq: CompiledQuery) -> dict:
         """LOCAL document frequencies per scoring arm — phrase arms keyed
@@ -994,20 +1056,14 @@ class SearchEngine:
         The doc-sharded coordinator sums these across shards and feeds
         the totals back via ``_score(stats_override=...)`` so every shard
         scores with GLOBAL idf (distributed-BM25 two-phase protocol)."""
-        out: dict = {}
-        for ph in cq.phrases:
-            posts = self._phrase_postings(ph)
-            arrs = [p.doc_ids for p in posts.values()]
-            union = (np.unique(np.concatenate(arrs)) if arrs
-                     else np.empty(0, np.uint64))
-            out[self._arm_key(ph)] = int(union.size)
+        def df(posts) -> int:
+            return int(np.count_nonzero(self._row_mask(self._posting_rows(posts))))
+
+        out: dict = {self._arm_key(ph): df(self._phrase_postings(ph))
+                     for ph in cq.phrases}
         if cq.near_terms and len(cq.near_terms) > 1:
             for t in cq.near_terms:
-                posts = self._term_postings(t)
-                arrs = [p.doc_ids for p in posts.values()]
-                union = (np.unique(np.concatenate(arrs)) if arrs
-                         else np.empty(0, np.uint64))
-                out[("near", t)] = int(union.size)
+                out[("near", t)] = df(self._term_postings(t))
         return out
 
     def _score(self, cq: CompiledQuery, weights: np.ndarray,
@@ -1033,16 +1089,19 @@ class SearchEngine:
             # match set / tf / df are formed — restricted-corpus semantics
             phrase_posts = [{fid: p for fid, p in pp.items()
                              if fid in cq.fields} for pp in phrase_posts]
+        # near mode: phrases are bookkeeping only — EXCEPT when the NEAR
+        # group degenerates to a single member, where FTS5 scores
+        # NEAR(term) exactly like a plain term query (the NEAR-arm
+        # contribution below requires >1 members and would otherwise
+        # leave every match at score 0)
+        near_match = cq.mode == "near" and len(cq.near_terms or []) > 1
+        arm_rows = ([] if near_match
+                    else [self._posting_rows(pp) for pp in phrase_posts])
+        arm_masks = [self._row_mask(r) for r in arm_rows]
 
         # match set
-        def docs_any(posts) -> np.ndarray:
-            arrs = [p.doc_ids for p in posts.values()]
-            if not arrs:
-                return np.empty(0, np.uint64)
-            return np.unique(np.concatenate(arrs))
-
-        if cq.mode == "near" and cq.near_terms and len(cq.near_terms) > 1:
-            match = self._near_docs(cq.near_terms, cq.near_distance)
+        if near_match:
+            mask = self._near_mask(cq.near_terms, cq.near_distance)
         elif cq.mode in ("and", "phrase") or cq.required:
             if cq.mode == "and":
                 # Intersect ONLY over the required conjuncts — synonym
@@ -1050,95 +1109,77 @@ class SearchEngine:
                 # which must behave as OR arms, not shrink the match set
                 # (reference expandSynonyms adds OR components).
                 req_ids = {id(ph) for ph in cq.required}
-                sets = [docs_any(pp) for ph, pp in zip(cq.phrases, phrase_posts)
+                sets = [m for ph, m in zip(cq.phrases, arm_masks)
                         if id(ph) in req_ids]
             else:
-                sets = [docs_any(phrase_posts[0])]
-            if cq.mode == "phrase":
-                match = docs_any(phrase_posts[0])
-            else:
-                match = sets[0]
-                for s in sets[1:]:
-                    match = match[np.isin(match, s)]
+                sets = arm_masks[:1]
+            mask = sets[0].copy()
+            for s in sets[1:]:
+                mask &= s
+        elif cq.min_should_match > 1:
+            # minimum_should_match: each arm counts once per row, so the
+            # sum is the number of matching arms per doc
+            hits = np.zeros(self.index.n_rows, dtype=np.int32)
+            for m in arm_masks:
+                hits += m
+            mask = hits >= cq.min_should_match
         else:
-            allsets = [docs_any(pp) for pp in phrase_posts]
-            nonempty = [s for s in allsets if s.size]
-            if not nonempty:
-                match = np.empty(0, np.uint64)
-            elif cq.min_should_match > 1:
-                # minimum_should_match: each arm contributes its doc set
-                # once (docs_any is unique per arm), so the concat count
-                # is the number of matching arms per doc
-                ids, cnt = np.unique(np.concatenate(nonempty),
-                                     return_counts=True)
-                match = ids[cnt >= cq.min_should_match]
-            else:
-                match = np.unique(np.concatenate(nonempty))
+            mask = np.zeros(self.index.n_rows, dtype=bool)
+            for m in arm_masks:
+                mask |= m
             # The smart expression's NEAR(t1..tn, 10) arm adds nothing to
             # the MATCH SET (every NEAR match contains all terms, which the
             # OR-of-terms arms already cover) but it DOES contribute score:
             # FTS5's bm25() counts every phrase in the expression, so the
             # NEAR group's member terms are scored a second time with
             # window-filtered tf — added below after the phrase loop.
-        if match.size and cq.exclude:
+        if cq.exclude and mask.any():
             for ph in cq.exclude:
                 posts = self._phrase_postings(ph)
                 if cq.fields is not None:
                     posts = {fid: p for fid, p in posts.items()
                              if fid in cq.fields}
-                bad = docs_any(posts)
-                if bad.size:
-                    match = match[~np.isin(match, bad)]
-        if match.size == 0:
+                for r in self._posting_rows(posts).values():
+                    mask[r] = False
+        rows = np.flatnonzero(mask)
+        match = self.index.meta(self.index.id_column)[rows]
+        if rows.size == 0:
             return match, np.empty(0, np.float64)
 
-        dl = self.index.dl_total_for(match).astype(np.float64)
-        score = np.zeros(match.size, dtype=np.float64)
+        dl = self.index.meta("dl_total")
+
+        def norm(at):  # BM25 length normalization at rows ``at``
+            return K1 * (1.0 - B + B * dl[at].astype(np.float64) / avgdl)
+
+        # Each arm adds its contribution at its own rows only: the rows
+        # it misses would add 0.0, which leaves every sum bit-identical.
+        score = np.zeros(self.index.n_rows, dtype=np.float64)
         # dis_max (ES disjunction-max, an extension): combine arm
         # contributions as max + tie_breaker*(sum - max) instead of sum
-        dmax = np.zeros(match.size, dtype=np.float64) if cq.dismax else None
-
-        def phrase_contrib(posts, key=None, boost=1.0):
+        dmax = (np.zeros(self.index.n_rows, dtype=np.float64)
+                if cq.dismax else None)
+        for ph, posts, prow, pmask in zip(cq.phrases, phrase_posts,
+                                          arm_rows, arm_masks):
+            if not posts:
+                continue
             # df = rows containing the phrase in ANY column (FTS5 idf)
-            arrs = [p.doc_ids for p in posts.values()]
-            if not arrs:
-                return None
-            if dfs is not None and key is not None:
-                df = int(dfs.get(key, 0))
+            if dfs is not None:
+                df = int(dfs.get(self._arm_key(ph), 0))
                 if df == 0:
-                    return None
+                    continue
             else:
-                union = np.unique(np.concatenate(arrs))
-                df = int(union.size)
+                df = int(np.count_nonzero(pmask))
             term_idf = _idf(N, df)
-            tfw = np.zeros(match.size, dtype=np.float64)
-            for fid, p in posts.items():
-                idx = np.searchsorted(p.doc_ids, match)
-                idx = np.clip(idx, 0, max(p.doc_ids.size - 1, 0))
-                present = p.doc_ids[idx] == match
-                tfw += np.where(present, p.tfs[idx].astype(np.float64), 0.0) * weights[fid]
-            denom = tfw + K1 * (1.0 - B + B * dl / avgdl)
-            score_contrib = boost * term_idf * (tfw * (K1 + 1.0)) / denom
-            return np.where(tfw > 0, score_contrib, 0.0)
-
-        def add_phrase(posts, key=None, boost=1.0):
-            c = phrase_contrib(posts, key=key, boost=boost)
-            if c is None:
-                return
-            np.add(score, c, out=score)  # running sum (plain BM25 path)
+            at, tfw = self._arm_tfs(posts, prow, pmask, weights)
+            c = ph.boost * term_idf * (tfw * (K1 + 1.0)) / (tfw + norm(at))
+            c = np.where(tfw > 0, c, 0.0)
+            score[at] += c  # running sum (plain BM25 path)
             if dmax is not None:
-                np.maximum(dmax, c, out=dmax)
-
-        # near mode: phrases are bookkeeping only — EXCEPT when the NEAR
-        # group degenerates to a single member, where FTS5 scores
-        # NEAR(term) exactly like a plain term query (the NEAR-arm
-        # contribution below requires >1 members and would otherwise
-        # leave every match at score 0)
-        if cq.mode != "near" or len(cq.near_terms or []) <= 1:
-            for ph, posts in zip(cq.phrases, phrase_posts):
-                add_phrase(posts, key=self._arm_key(ph), boost=ph.boost)
+                dmax[at] = np.maximum(dmax[at], c)
+        score = score[rows]
         if dmax is not None:
-            # score currently holds the arm SUM; fold into dis_max form
+            # score holds the arm SUM; fold into dis_max form
+            dmax = dmax[rows]
             score = dmax + cq.tie_breaker * (score - dmax)
         # NEAR-arm contribution (smart mode only): FTS5's bm25() scores
         # every phrase in the expression, so the member terms of
@@ -1148,22 +1189,23 @@ class SearchEngine:
         # Verified rank- and score-identical to real SQLite FTS5 in
         # tests/test_fts5_goldens.py.
         if (cq.mode in ("smart", "near") and cq.near_terms
-                and len(cq.near_terms) > 1 and match.size):
+                and len(cq.near_terms) > 1):
             near_tfs = self._near_filtered_tfs(
-                cq.near_terms, cq.near_distance, match, weights)
+                cq.near_terms, cq.near_distance, rows, weights)
+            norm_match = norm(rows)
             for t, tfw in zip(cq.near_terms, near_tfs):
                 posts = self._term_postings(t)
-                arrs = [p.doc_ids for p in posts.values()]
-                if not arrs:
+                if not posts:
                     continue
                 if dfs is not None:
                     df = int(dfs.get(("near", t), 0))
                     if df == 0:
                         continue
                 else:
-                    df = int(np.unique(np.concatenate(arrs)).size)
+                    df = int(np.count_nonzero(
+                        self._row_mask(self._posting_rows(posts))))
                 term_idf = _idf(N, df)
-                denom = tfw + K1 * (1.0 - B + B * dl / avgdl)
+                denom = tfw + norm_match
                 contrib = term_idf * (tfw * (K1 + 1.0)) / np.where(
                     denom > 0, denom, 1.0)
                 np.add(score, np.where(tfw > 0, contrib, 0.0), out=score)
@@ -1341,106 +1383,24 @@ class SearchEngine:
                         _time.time() + self._cache_ttl, pt)
                     return pt
         weights = self._field_weight_vector(field_weights or self.default_weights)
-        orig_terms: list[str] = []
-        query, term_boosts = self._parse_boost_syntax(query, term_boosts)
-        if merge_tokens and not fuzzy:
-            query = self._merge_adjacent_tokens(query)
-        if fuzzy:
-            cq, orig_terms = self._compile_fuzzy(query, fuzzy_mode)
-        else:
-            cq = compile_query(query, self.analyzer, mode=mode,
-                               prefix_last=prefix_last,
-                               near_distance=near_distance)
-        if slop > 0:
-            # sloppy phrase (ordered proximity) — applies to the
-            # multi-term phrase components; singles are unaffected
-            for ph in cq.phrases:
-                if len(ph.terms) > 1 and not ph.prefix:
-                    ph.slop = int(slop)
-        if in_fields:
-            if mode == "smart" and cq.near_terms:
-                raise ValueError(
-                    "in_fields requires mode in {'and','or','phrase'} — "
-                    "the smart-mode NEAR arm is not field-restrictable")
-            names = [f[0] for f in self.index.fields]
-            unknown = [f for f in in_fields if f not in names]
-            if unknown:
-                raise KeyError(f"unknown index fields: {unknown}")
-            cq.fields = frozenset(names.index(f) for f in in_fields)
-        if int(min_should_match) > 1:
-            if mode != "or" or fuzzy:
-                raise ValueError(
-                    "min_should_match requires mode='or' without fuzzy — "
-                    "other modes fix their own match-set semantics")
-            cq.min_should_match = int(min_should_match)
-        if term_boosts:
-            # query-time term boosts (Lucene `term^2`): multiply the
-            # matching single-term arm's BM25 contribution.  or/and only:
-            # smart mode's NEAR arm re-scores member terms through a
-            # separate window-filtered kernel that must stay FTS5-pinned.
-            if mode not in ("or", "and") or fuzzy:
-                raise ValueError(
-                    "term_boosts requires mode in {'or','and'} without fuzzy")
-            if any(b <= 0 for b in term_boosts.values()):
-                raise ValueError("term boosts must be > 0")
-            for ph in cq.phrases:
-                if len(ph.terms) == 1 and ph.terms[0] in term_boosts:
-                    ph.boost = float(term_boosts[ph.terms[0]])
-        if dismax:
-            # dis_max combines OR arms by max; other modes either have a
-            # single arm (phrase) or conjunction semantics where ES
-            # defines no dis_max analogue — keep the surface honest.
-            if mode != "or" or fuzzy:
-                raise ValueError("dismax requires mode='or' without fuzzy")
-            if not (0.0 <= float(tie_breaker) <= 1.0):
-                raise ValueError("tie_breaker must be in [0, 1]")
-            cq.dismax, cq.tie_breaker = True, float(tie_breaker)
-        if exclude_terms:
-            for x in exclude_terms:
-                g = self.analyzer.match_terms(x)
-                for sub in g:
-                    cq.exclude.append(Phrase(sub))
-        if self.synonyms and not fuzzy:
-            extra = self._expand_synonyms(
-                [ph.terms for ph in cq.phrases if len(ph.terms) == 1])
-            for g in extra:
-                ph = Phrase(g)
-                cq.phrases.append(ph)
-                if cq.any_of:
-                    cq.any_of.append(ph)
+        cq, query, term_boosts, orig_terms = self._compile_search(
+            query, mode=mode, fuzzy=fuzzy, fuzzy_mode=fuzzy_mode,
+            prefix_last=prefix_last, near_distance=near_distance,
+            merge_tokens=merge_tokens, slop=slop, in_fields=in_fields,
+            min_should_match=min_should_match, term_boosts=term_boosts,
+            dismax=dismax, tie_breaker=tie_breaker,
+            exclude_terms=exclude_terms)
         if not cq.phrases:
             return self._empty_result(with_docs)
-        # WAND stays OPT-IN: round 4 flipped it to auto-default,
-        # measured the bench battery on the 50k sf0.1 index, and
-        # reverted on the data - the pure-Python doc-at-a-time loop
-        # measured p50 163 ms vs 5.7 ms for the vectorized numpy scan
-        # (28x; p95 428 vs 26 ms) because this corpus's df ~ 0.7N gives
-        # WAND nothing to skip while the scan streams contiguous
-        # arrays.  WAND remains the right serving shape when cursors
-        # stream from disk/compressed blocks (the 100 TB path); rank
-        # identity with the scan is property-pinned in tests/test_wand.
-        wand_on = bool(use_wand)
-        # Any post-scoring rank modifier (decay, rank blend, negative-
-        # term boosting, span constraint, id allowlist, distance blend)
-        # re-orders or prunes AFTER BM25, so WAND's top-(offset+limit)
-        # truncation would hand it an incomplete candidate set — those
-        # shapes must take the exhaustive scan.
-        rank_modified = (rank_column is not None or rank_weight != 0.0
-                         or decay_column is not None
-                         or bool(negative_terms) or bool(term_boosts)
-                         or restrict_ids is not None
-                         or distance_weight != 0.0 or slop != 0
-                         or bool(in_fields) or enable_suggestions)
-        if wand_on and not rank_modified and cq.fields is None \
-                and cq.min_should_match == 1 \
-                and not cq.dismax and not rank_column \
-                and all(ph.boost == 1.0 for ph in cq.phrases) \
-                and self._wand_eligible(
-                cq, fuzzy=fuzzy, filters=filters,
-                language=language, geo_filters=geo_filters,
-                unique_by_route=unique_by_route,
-                min_score=min_score, sort=sort,
-                post_rescore=post_rescore):
+        if use_wand and self._wand_eligible(
+                cq, fuzzy=fuzzy, filters=filters, language=language,
+                geo_filters=geo_filters, unique_by_route=unique_by_route,
+                min_score=min_score, sort=sort, post_rescore=post_rescore,
+                term_boosts=term_boosts, rank_column=rank_column,
+                rank_weight=rank_weight,
+                decay_column=decay_column, negative_terms=negative_terms,
+                restrict_ids=restrict_ids, distance_weight=distance_weight,
+                slop=slop, enable_suggestions=enable_suggestions):
             doc_ids, rank = self._wand_search(cq, weights, offset + limit)
         else:
             doc_ids, rank = self._score(cq, weights)
@@ -1454,7 +1414,7 @@ class SearchEngine:
             allow = np.asarray(restrict_ids, dtype=np.uint64)
             keep = np.isin(doc_ids, allow)
             doc_ids, rank = doc_ids[keep], rank[keep]
-        if doc_ids.size:
+        if doc_ids.size and (filters or language):
             keep = self._apply_filters(doc_ids, filters, language)
             doc_ids, rank = doc_ids[keep], rank[keep]
         if rank_column and rank_weight and doc_ids.size:
@@ -1501,29 +1461,6 @@ class SearchEngine:
         distances = None
         if geo_filters and doc_ids.size:
             doc_ids, rank, distances = self._apply_geo(doc_ids, rank, geo_filters)
-        # ORDER BY rank ASC, doc_id ASC  (reference :1096) — or an explicit
-        # column sort (reference :1106-1128: direct/metadata columns)
-        if sort is not None and doc_ids.size:
-            col, direction = (sort if isinstance(sort, (tuple, list))
-                              else (sort, "asc"))
-            vals = self.index.meta_for(col, doc_ids)
-            key = np.argsort(vals, kind="stable")
-            if str(direction).lower().startswith("desc"):
-                key = key[::-1]
-            order = key
-        else:
-            order = np.lexsort((doc_ids, rank))
-        doc_ids, rank = doc_ids[order], rank[order]
-        if distances is not None:
-            distances = distances[order]
-            if geo_filters.get("sort_by_distance"):
-                # reference two-phase fallback (:1086-1098,:1237-1262):
-                # widen candidates by rank, then re-sort by distance
-                widen = int(np.clip(limit * 20, 200, 1000))
-                doc_ids, rank = doc_ids[:widen], rank[:widen]
-                distances = distances[:widen]
-                o2 = np.lexsort((doc_ids, distances))
-                doc_ids, rank, distances = doc_ids[o2], rank[o2], distances[o2]
         # widen before dedup (reference widens to max_results :129-137);
         # post_rescore must keep the full clamp(limit*20, 200, 2000)
         # candidate pool alive so rescoring can promote docs from outside
@@ -1534,6 +1471,36 @@ class SearchEngine:
             page_n = max(offset + limit, int(np.clip(limit * 20, 200, 2000)))
         else:
             page_n = offset + limit
+        # rows of the ranked order read below: the distance re-sort
+        # draws from the first clamp(limit*20, 200, MAX_RESULTS)
+        by_distance = distances is not None and geo_filters.get("sort_by_distance")
+        need = MAX_RESULTS if by_distance else page_n
+        if min(offset, limit) < 0:  # negative slices read from the end
+            need = doc_ids.size
+        # ORDER BY rank ASC, doc_id ASC  (reference :1096) over the rows
+        # at or above the need-th rank, ties kept — or an explicit column
+        # sort (reference :1106-1128: direct/metadata columns)
+        if sort is not None and doc_ids.size:
+            col, direction = (sort if isinstance(sort, (tuple, list))
+                              else (sort, "asc"))
+            vals = self.index.meta_for(col, doc_ids)
+            key = np.argsort(vals, kind="stable")
+            if str(direction).lower().startswith("desc"):
+                key = key[::-1]
+            order = key
+        else:
+            order = topk_order(rank, doc_ids, need)
+        doc_ids, rank = doc_ids[order], rank[order]
+        if distances is not None:
+            distances = distances[order]
+            if by_distance:
+                # reference two-phase fallback (:1086-1098,:1237-1262):
+                # widen candidates by rank, then re-sort by distance
+                widen = int(np.clip(limit * 20, 200, 1000))
+                doc_ids, rank = doc_ids[:widen], rank[:widen]
+                distances = distances[:widen]
+                o2 = np.lexsort((doc_ids, distances))
+                doc_ids, rank, distances = doc_ids[o2], rank[o2], distances[o2]
         doc_ids, rank = doc_ids[:page_n], rank[:page_n]
         score = np.abs(rank)
         if distances is not None:
@@ -1629,6 +1596,87 @@ class SearchEngine:
                     ttl=int(self._cache_ttl), version=cache_key[-1])
         return out
 
+    def _compile_search(self, query: str, *, mode: str = "smart",
+                        fuzzy: bool = False, fuzzy_mode: str = "correction",
+                        prefix_last: bool = False, near_distance: int = 10,
+                        merge_tokens: bool = False, slop: int = 0,
+                        in_fields=None, min_should_match: int = 1,
+                        term_boosts: dict | None = None, dismax: bool = False,
+                        tie_breaker: float = 0.0, exclude_terms=None, **_):
+        """search()'s query compilation: returns (compiled query, query
+        text after boost-syntax stripping and token merging, term boosts,
+        the fuzzy rewrite's original terms).  ``explain()`` compiles
+        through this same call, so the plan it reports is the one
+        ``search()`` runs; options that act after scoring are ignored."""
+        orig_terms: list[str] = []
+        query, term_boosts = self._parse_boost_syntax(query, term_boosts)
+        if merge_tokens and not fuzzy:
+            query = self._merge_adjacent_tokens(query)
+        if fuzzy:
+            cq, orig_terms = self._compile_fuzzy(query, fuzzy_mode)
+        else:
+            cq = compile_query(query, self.analyzer, mode=mode,
+                               prefix_last=prefix_last,
+                               near_distance=near_distance)
+        if slop > 0:
+            # sloppy phrase (ordered proximity) — applies to the
+            # multi-term phrase components; singles are unaffected
+            for ph in cq.phrases:
+                if len(ph.terms) > 1 and not ph.prefix:
+                    ph.slop = int(slop)
+        if in_fields:
+            if mode == "smart" and cq.near_terms:
+                raise ValueError(
+                    "in_fields requires mode in {'and','or','phrase'} — "
+                    "the smart-mode NEAR arm is not field-restrictable")
+            names = [f[0] for f in self.index.fields]
+            unknown = [f for f in in_fields if f not in names]
+            if unknown:
+                raise KeyError(f"unknown index fields: {unknown}")
+            cq.fields = frozenset(names.index(f) for f in in_fields)
+        if int(min_should_match) > 1:
+            if mode != "or" or fuzzy:
+                raise ValueError(
+                    "min_should_match requires mode='or' without fuzzy — "
+                    "other modes fix their own match-set semantics")
+            cq.min_should_match = int(min_should_match)
+        if term_boosts:
+            # query-time term boosts (Lucene `term^2`): multiply the
+            # matching single-term arm's BM25 contribution.  or/and only:
+            # smart mode's NEAR arm re-scores member terms through a
+            # separate window-filtered kernel that must stay FTS5-pinned.
+            if mode not in ("or", "and") or fuzzy:
+                raise ValueError(
+                    "term_boosts requires mode in {'or','and'} without fuzzy")
+            if any(b <= 0 for b in term_boosts.values()):
+                raise ValueError("term boosts must be > 0")
+            for ph in cq.phrases:
+                if len(ph.terms) == 1 and ph.terms[0] in term_boosts:
+                    ph.boost = float(term_boosts[ph.terms[0]])
+        if dismax:
+            # dis_max combines OR arms by max; other modes either have a
+            # single arm (phrase) or conjunction semantics where ES
+            # defines no dis_max analogue — keep the surface honest.
+            if mode != "or" or fuzzy:
+                raise ValueError("dismax requires mode='or' without fuzzy")
+            if not (0.0 <= float(tie_breaker) <= 1.0):
+                raise ValueError("tie_breaker must be in [0, 1]")
+            cq.dismax, cq.tie_breaker = True, float(tie_breaker)
+        if exclude_terms:
+            for x in exclude_terms:
+                g = self.analyzer.match_terms(x)
+                for sub in g:
+                    cq.exclude.append(Phrase(sub))
+        if self.synonyms and not fuzzy:
+            extra = self._expand_synonyms(
+                [ph.terms for ph in cq.phrases if len(ph.terms) == 1])
+            for g in extra:
+                ph = Phrase(g)
+                cq.phrases.append(ph)
+                if cq.any_of:
+                    cq.any_of.append(ph)
+        return cq, query, term_boosts, orig_terms
+
     def _merge_adjacent_tokens(self, query: str) -> str:
         """tryMergeTokens (reference :1539-1592): merge adjacent query
         tokens when the concatenation is a known index term
@@ -1648,12 +1696,41 @@ class SearchEngine:
         return " ".join(out)
 
     # ---------------- block-max WAND ----------------------------------
-    def _wand_eligible(self, cq, *, fuzzy, filters, language, geo_filters,
-                       unique_by_route, min_score, sort, post_rescore) -> bool:
+    # WAND stays OPT-IN: the pure-Python doc-at-a-time loop loses to the
+    # vectorized scan on in-memory postings, because this corpus's df ~
+    # 0.7N gives WAND nothing to skip while the scan streams contiguous
+    # arrays.  Measured on the 50k-doc perfbench query_hot index (4-CPU
+    # host), over the six WAND-eligible queries of the benchmark set:
+    # p50 316 ms with WAND vs 1.9 ms for the scan.  WAND remains the
+    # right serving shape when cursors stream from disk/compressed
+    # blocks (the 100 TB path); rank identity with the scan is
+    # property-pinned in tests/test_wand.
+    def _wand_eligible(self, cq, *, fuzzy=False, filters=None, language=None,
+                       geo_filters=None, unique_by_route=False,
+                       min_score=0.0, sort=None, post_rescore=False,
+                       term_boosts=None, rank_column=None, rank_weight=0.0,
+                       decay_column=None, negative_terms=None,
+                       restrict_ids=None, distance_weight=0.0, slop=0,
+                       enable_suggestions=False, **_) -> bool:
+        """Whether WAND's top-(offset+limit) cut serves ``cq`` exactly —
+        the one gate ``search()`` and ``explain()`` share; takes any of
+        ``search()``'s options and ignores the rest.  Filters, dedup,
+        rescoring and every rank modifier (rank blend, decay, negative
+        terms, id allowlist, distance blend, slop, suggestions) prune or
+        re-order AFTER BM25, so WAND would hand them an incomplete
+        candidate set; in_fields, min_should_match, dismax, term boosts
+        and exclude terms reach the gate through ``cq``."""
         return (
             not fuzzy and not filters and not language and not geo_filters
             and not unique_by_route and min_score == 0 and sort is None
-            and not post_rescore and not cq.exclude
+            and not post_rescore and not term_boosts
+            and rank_column is None and rank_weight == 0.0
+            and decay_column is None and not negative_terms
+            and restrict_ids is None and distance_weight == 0.0
+            and slop == 0 and not enable_suggestions
+            and cq.fields is None and cq.min_should_match == 1
+            and not cq.dismax and not cq.exclude
+            and all(ph.boost == 1.0 for ph in cq.phrases)
             and self.index.tombstones.size == 0
             and cq.mode in ("or", "smart")
             and all(len(p.terms) == 1 and not p.prefix for p in cq.phrases)
@@ -1670,20 +1747,17 @@ class SearchEngine:
         from .wand import TermCursor, wand_topk
 
         N = self.index.n_docs
+        row_ids = self.index.meta(self.index.id_column)
         cursors = []
         for ph in cq.phrases:
             posts = self._term_postings(ph.terms[0])
             if not posts:
                 continue
-            arrs = [p.doc_ids for p in posts.values()]
-            union = np.unique(np.concatenate(arrs))
-            tfw = np.zeros(union.size, dtype=np.float64)
-            for fid, p in posts.items():
-                idx = np.clip(np.searchsorted(p.doc_ids, union), 0,
-                              max(p.doc_ids.size - 1, 0))
-                present = p.doc_ids[idx] == union
-                tfw += np.where(present, p.tfs[idx].astype(np.float64), 0.0) * weights[fid]
-            cursors.append(TermCursor(union, tfw, _idf_fn(N, int(union.size))))
+            prow = self._posting_rows(posts)
+            rows, tfw = self._arm_tfs(posts, prow, self._row_mask(prow),
+                                      weights)
+            cursors.append(TermCursor(row_ids[rows], tfw,
+                                      _idf_fn(N, int(rows.size))))
         if not cursors:
             return np.empty(0, np.uint64), np.empty(0, np.float64)
         docs, scores = wand_topk(cursors, self.index.dl_total_for,
@@ -2182,8 +2256,8 @@ class SearchEngine:
             at = np.searchsorted(match, ids)
             tf_d[at] = tfs
             total += np.log(tf_d + mu * cf / C) - denom
-        # (log-likelihood DESC, doc_id ASC): lexsort's last key is primary
-        top = np.lexsort((match, -total))[:limit]
+        # (log-likelihood DESC, doc_id ASC)
+        top = topk_order(-total, match, limit)[:limit]
         return pa.table({
             "doc_id": pa.array(match[top], pa.uint64()),
             "score": pa.array(np.round(-total[top], round_to), pa.float64()),
@@ -2454,21 +2528,10 @@ class SearchEngine:
         mode, NEAR params), the fuzzy rewrite if any, per-arm document
         frequencies, the posting PARTITIONS each term reads (the I/O
         plan), and which execution path serves it (WAND vs full scan)."""
-        orig_terms: list[str] = []
-        query, term_boosts = self._parse_boost_syntax(
-            query, search_kwargs.get("term_boosts"))
-        if fuzzy:
-            cq, orig_terms = self._compile_fuzzy(query, fuzzy_mode)
-        else:
-            cq = compile_query(query, self.analyzer, mode=mode,
-                               prefix_last=prefix_last,
-                               near_distance=near_distance)
-        in_fields = search_kwargs.get("in_fields")
-        fids = None
-        if in_fields:
-            names = [f[0] for f in self.index.fields]
-            fids = frozenset(names.index(f) for f in in_fields
-                             if f in names)
+        cq, query, term_boosts, orig_terms = self._compile_search(
+            query, mode=mode, fuzzy=fuzzy, fuzzy_mode=fuzzy_mode,
+            prefix_last=prefix_last, near_distance=near_distance,
+            **search_kwargs)
         arms = []
         dfs = self.arm_dfs(cq)
         for ph in cq.phrases:
@@ -2482,23 +2545,11 @@ class SearchEngine:
                 "partitions": sorted({p for t in terms
                                       for p in self.index._term_parts(t)}),
             }
-            if term_boosts and len(terms) == 1 and terms[0] in term_boosts:
-                arm["boost"] = float(term_boosts[terms[0]])
+            if ph.boost != 1.0:
+                arm["boost"] = ph.boost
             arms.append(arm)
-        wand_ok = (
-            fids is None
-            and int(search_kwargs.get("min_should_match", 1)) == 1
-            and not search_kwargs.get("dismax")
-            and not search_kwargs.get("rank_column")
-            and not term_boosts
-            and self._wand_eligible(
-                cq, fuzzy=fuzzy, filters=search_kwargs.get("filters"),
-                language=search_kwargs.get("language"),
-                geo_filters=search_kwargs.get("geo_filters"),
-                unique_by_route=search_kwargs.get("unique_by_route", False),
-                min_score=search_kwargs.get("min_score", 0.0),
-                sort=search_kwargs.get("sort"),
-                post_rescore=search_kwargs.get("post_rescore", False)))
+        wand_ok = self._wand_eligible(
+            cq, fuzzy=fuzzy, **dict(search_kwargs, term_boosts=term_boosts))
         plan = {
             "query": query,
             "mode": cq.mode,
@@ -2520,14 +2571,13 @@ class SearchEngine:
                                  [t for ph in cq.phrases for t in ph.terms]}
         # round-3 query-feature surface, reflected so debug-query dumps
         # the full effective plan
-        if fids is not None:
-            plan["in_fields"] = {"fields": list(in_fields),
-                                 "field_ids": sorted(fids)}
-        if int(search_kwargs.get("min_should_match", 1)) > 1:
-            plan["min_should_match"] = int(search_kwargs["min_should_match"])
-        if search_kwargs.get("dismax"):
-            plan["dismax"] = {"tie_breaker":
-                              float(search_kwargs.get("tie_breaker", 0.0))}
+        if cq.fields is not None:
+            plan["in_fields"] = {"fields": list(search_kwargs["in_fields"]),
+                                 "field_ids": sorted(cq.fields)}
+        if cq.min_should_match > 1:
+            plan["min_should_match"] = cq.min_should_match
+        if cq.dismax:
+            plan["dismax"] = {"tie_breaker": cq.tie_breaker}
         if search_kwargs.get("rank_column"):
             plan["rank_boost"] = {
                 "column": search_kwargs["rank_column"],
