@@ -22,14 +22,11 @@ class TestExplain:
         term_dfs = {tuple(a["terms"]): a["df"] for a in plan["arms"]}
         assert term_dfs[("parse",)] > 0
         assert plan["stats"]["n_docs"] == 300
-        assert plan["execution_path"] == "scan"
 
-    def test_wand_path_and_fuzzy_rewrite(self, built_index):
+    def test_fuzzy_rewrite(self, built_index):
         from yetisearch_ray.search.engine import SearchEngine, open_index
 
         eng = SearchEngine(open_index(built_index))
-        p = eng.explain("parse buffer", mode="or", use_wand=True)
-        assert p["wand_eligible"] and p["execution_path"] == "wand"
         f = eng.explain("parze", fuzzy=True)
         assert "parse" in f["fuzzy"]["corrected_terms"]
         assert f["fuzzy"]["original_terms"] == ["parze"]
@@ -38,7 +35,7 @@ class TestExplain:
         from yetisearch_ray.search.engine import SearchEngine, open_index
 
         eng = SearchEngine(open_index(built_index))
-        p = eng.explain("parse^2 buffer", mode="or", use_wand=True,
+        p = eng.explain("parse^2 buffer", mode="or",
                         min_should_match=2, dismax=True, tie_breaker=0.3,
                         in_fields=["content"])
         assert p["min_should_match"] == 2
@@ -47,7 +44,6 @@ class TestExplain:
         boosted = [a for a in p["arms"] if a.get("boost")]
         assert boosted and boosted[0]["terms"] == ["parse"]
         assert boosted[0]["boost"] == 2.0
-        assert not p["wand_eligible"] and p["execution_path"] == "scan"
         r = eng.explain("parse", rank_column="lang", rank_weight=0.5)
         assert r["rank_boost"]["column"] == "lang"
 
@@ -57,6 +53,60 @@ class TestExplain:
         eng = SearchEngine(open_index(built_index))
         p = eng.explain("parse buffer", mode="near", near_distance=4)
         assert p["near"] == {"terms": ["parse", "buffer"], "distance": 4}
+
+    def test_explain_reports_the_plan_search_scores(self, built_index,
+                                                    monkeypatch):
+        """explain() and search() compile through one call: over the
+        benchmark query set under each rank modifier, the arms search()
+        hands the scorer are the ones explain() reports, and explain()
+        raises exactly when search() does."""
+        from bench import QUERY_SET
+        from yetisearch_ray.search.engine import SearchEngine, open_index
+
+        eng = SearchEngine(open_index(built_index), cache_ttl=0)
+        scored = []
+        score = eng._score
+
+        def spy(cq, *a, **kw):
+            scored.append(cq)
+            return score(cq, *a, **kw)
+
+        monkeypatch.setattr(eng, "_score", spy)
+        modifiers = [
+            {},
+            dict(rank_column="doc_id", rank_weight=0.5),
+            dict(decay_column="doc_id", decay_origin=0.0, decay_scale=100.0),
+            dict(negative_terms=["buffer"]),
+            dict(restrict_ids=list(range(0, 300, 2))),
+            dict(distance_weight=0.5),
+            dict(slop=2),
+            dict(enable_suggestions=True),
+        ]
+        for q, kw in QUERY_SET:
+            for mod in modifiers:
+                opts = dict(kw, **mod)
+                scored.clear()
+                try:
+                    eng.search(q, limit=10, **opts)
+                except Exception as e:
+                    with pytest.raises(type(e)):
+                        eng.explain(q, **opts)
+                    continue
+                plan = eng.explain(q, **opts)
+                got = [(a["terms"], a["prefix"], a.get("boost", 1.0),
+                        a["required"]) for a in plan["arms"]]
+                if not scored:  # nothing to score: search() returned early
+                    assert got == [], (q, opts)
+                    continue
+                cq = scored[0]
+                assert got == [(list(ph.terms), ph.prefix, ph.boost,
+                                any(p is ph for p in cq.required))
+                               for ph in cq.phrases], (q, opts)
+                assert plan["exclude"] == [list(p.terms) for p in cq.exclude]
+                assert plan.get("in_fields", {}).get("field_ids") == (
+                    None if cq.fields is None else sorted(cq.fields))
+                assert plan.get("min_should_match", 1) == cq.min_should_match
+                assert ("dismax" in plan) == cq.dismax, (q, opts)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -213,3 +213,23 @@ class TestEngineIntegration:
         f = FuzzyTermCache("b", root)
         assert len(f) >= 1
         ys.close()
+
+    def test_disk_tier_hits_respect_lru_cap(self, tmp_path):
+        """A disk-tier hit enters the in-process LRU through the same
+        eviction as a freshly computed page."""
+        root = str(tmp_path / "ix")
+        ys = self._mk(root)
+        ys.create_index("b", fields=["title", "content"])
+        ys.index_batch("b", self.DOCS)
+        queries = ["rocket", "water", "physics"]
+        for q in queries:
+            ys.search("b", q, limit=5)
+        ys.close()
+        ys2 = self._mk(root)
+        eng = ys2.engine("b")
+        eng._cache_max = 2
+        for q in queries:
+            ys2.search("b", q, limit=5)
+        assert eng._persistent.get_stats()["hits"] == 3
+        assert eng.cache_stats()["entries"] <= 2
+        ys2.close()

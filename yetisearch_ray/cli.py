@@ -271,11 +271,10 @@ def cmd_facets_distance(args):
 def cmd_debug_query(args):
     """Query-plan introspection (reference debug:query,
     ``bin/yetisearch:137-155``): compiled arms, per-arm df, posting
-    partitions read, fuzzy rewrite, execution path."""
+    partitions read, fuzzy rewrite."""
     eng = _engine(args)
     print(json.dumps(eng.explain(args.query, mode=args.mode,
-                                 fuzzy=args.fuzzy,
-                                 use_wand=args.wand), indent=1))
+                                 fuzzy=args.fuzzy), indent=1))
 
 
 def cmd_stats(args):
@@ -446,7 +445,6 @@ def main(argv=None):
     s.add_argument("query")
     s.add_argument("--mode", default="smart")
     s.add_argument("--fuzzy", action="store_true")
-    s.add_argument("--wand", action="store_true")
     s.set_defaults(fn=cmd_debug_query, sharded=0)
 
     s = sub.add_parser("autocomplete",

@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 import os
 import re
+import time
 from collections import OrderedDict
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
 import pyarrow as pa
@@ -656,6 +657,86 @@ def compile_query(query: str, analyzer: StandardAnalyzer, mode: str = "smart",
 # ==========================================================================
 
 
+def _like_regex(pattern) -> re.Pattern:
+    """SQLite ``LIKE`` (no ESCAPE clause) as a regex for ``fullmatch``:
+    ``%`` is any run of characters, newlines included, ``_`` any one
+    character; case folds for ASCII letters only, as in SQLite."""
+    return re.compile("".join(
+        ".*" if c == "%" else "." if c == "_" else re.escape(c)
+        for c in str(pattern)), re.I | re.S | re.A)
+
+
+def _freeze(v):
+    """A hashable, value-complete image of a request option: dicts become
+    sorted item tuples, lists and arrays tuples, sets frozensets."""
+    if isinstance(v, dict):
+        return tuple(sorted((k, _freeze(x)) for k, x in v.items()))
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return tuple(_freeze(x) for x in v)
+    if isinstance(v, (set, frozenset)):
+        return frozenset(_freeze(x) for x in v)
+    return v
+
+
+@dataclass(frozen=True)
+class SearchRequest:
+    """The query and options of one ``SearchEngine.search()`` call.
+
+    Every field is part of the result-cache key (``key()``), so a new
+    option can never be left out of it."""
+
+    query: str
+    limit: int = 20
+    offset: int = 0
+    mode: str = "smart"
+    field_weights: dict[str, float] | None = None
+    filters: list | None = None
+    language: str | None = None
+    min_score: float = 0.0
+    normalize: bool = True
+    unique_by_route: bool = False
+    route_column: str | None = None
+    prefix_last: bool = False
+    with_docs: bool = False
+    highlight: bool = False
+    round_scores: int | None = None
+    fuzzy: bool = False
+    fuzzy_mode: str = "correction"
+    exclude_terms: list | None = None
+    post_rescore: bool = False
+    geo_filters: dict | None = None
+    distance_weight: float = 0.0
+    sort: tuple | None = None
+    merge_tokens: bool = False
+    result_fields: list | None = None
+    enable_suggestions: bool = False
+    near_distance: int = 10
+    slop: int = 0
+    in_fields: list | None = None
+    min_should_match: int = 1
+    term_boosts: dict | None = None
+    dismax: bool = False
+    tie_breaker: float = 0.0
+    rank_column: str | None = None
+    rank_weight: float = 0.0
+    rank_mode: str = "add"
+    decay_column: str | None = None
+    decay_origin: float = 0.0
+    decay_scale: float = 0.0
+    decay_offset: float = 0.0
+    negative_terms: list | None = None
+    negative_boost: float = 0.5
+    restrict_ids: list | None = None
+
+    def key(self, version: str) -> tuple:
+        """Result-cache key: every field, frozen, then the index
+        ``version`` last."""
+        return (*(_freeze(getattr(self, f.name)) for f in dc_fields(self)),
+                version)
+
+
 class SearchEngine:
     def __init__(self, index: IndexReader, *, language: str = "en",
                  analyzer: StandardAnalyzer | None = None,
@@ -1252,12 +1333,11 @@ class SearchEngine:
             elif op == "between":
                 lo, hi = value
                 mask &= (vals >= lo) & (vals <= hi)
-            elif op == "like":
-                rx = re.compile("^" + re.escape(str(value)).replace("%", ".*").replace(r"\%", ".*") + "$", re.I)
-                mask &= np.fromiter((bool(rx.match(str(v))) for v in vals), bool, vals.size)
-            elif op == "not like":
-                rx = re.compile("^" + re.escape(str(value)).replace("%", ".*") + "$", re.I)
-                mask &= np.fromiter((not rx.match(str(v)) for v in vals), bool, vals.size)
+            elif op in ("like", "not like"):
+                rx = _like_regex(value)
+                hit = np.fromiter((rx.fullmatch(str(v)) is not None
+                                   for v in vals), bool, vals.size)
+                mask &= hit if op == "like" else ~hit
             elif op == "contains":
                 mask &= np.fromiter((str(value).lower() in str(v).lower() for v in vals), bool, vals.size)
             elif op == "is null":
@@ -1287,84 +1367,20 @@ class SearchEngine:
         return _BOOST_RE.sub(_take, query), boosts
 
     # ---------------- public API ---------------------------------------
-    def search(
-        self,
-        query: str,
-        *,
-        limit: int = 20,
-        offset: int = 0,
-        mode: str = "smart",
-        field_weights: dict[str, float] | None = None,
-        filters=None,
-        language: str | None = None,
-        min_score: float = 0.0,
-        normalize: bool = True,
-        unique_by_route: bool = False,
-        route_column: str | None = None,
-        prefix_last: bool = False,
-        with_docs: bool = False,
-        highlight: bool = False,
-        round_scores: int | None = None,
-        fuzzy: bool = False,
-        fuzzy_mode: str = "correction",
-        exclude_terms=None,
-        post_rescore: bool = False,
-        geo_filters: dict | None = None,
-        distance_weight: float = 0.0,
-        sort: tuple | None = None,
-        merge_tokens: bool = False,
-        use_wand: bool = False,
-        result_fields=None,
-        enable_suggestions: bool = False,
-        near_distance: int = 10,
-        slop: int = 0,
-        in_fields=None,
-        min_should_match: int = 1,
-        term_boosts: dict | None = None,
-        dismax: bool = False,
-        tie_breaker: float = 0.0,
-        rank_column: str | None = None,
-        rank_weight: float = 0.0,
-        rank_mode: str = "add",
-        decay_column: str | None = None,
-        decay_origin: float = 0.0,
-        decay_scale: float = 0.0,
-        decay_offset: float = 0.0,
-        negative_terms=None,
-        negative_boost: float = 0.5,
-        restrict_ids=None,
-    ) -> pa.Table:
-        limit = min(int(limit), MAX_RESULTS)
+    def search(self, query: str, **options) -> pa.Table:
+        """Ranked page for ``query``; ``options`` are the fields of
+        ``SearchRequest`` (an unknown one raises ``TypeError``)."""
+        req = SearchRequest(query, **options)
+        limit, offset = min(int(req.limit), MAX_RESULTS), req.offset
         # ---- query cache (reference QueryCache §2.3: TTL + LRU, keyed on
         # the index's mutation version so writes invalidate) ----
         cache_key = None
         if self._cache_ttl > 0:
-            cache_key = (query, limit, offset, mode,
-                         tuple(sorted((field_weights or {}).items())),
-                         repr(filters), language, min_score, normalize,
-                         unique_by_route, route_column, prefix_last,
-                         with_docs, highlight, round_scores, fuzzy,
-                         fuzzy_mode, tuple(exclude_terms or ()), post_rescore, use_wand,
-                         tuple(result_fields or ()),
-                         repr(sort), repr(geo_filters), distance_weight,
-                         merge_tokens, enable_suggestions, near_distance,
-                         slop, tuple(in_fields or ()), min_should_match,
-                         tuple(sorted((term_boosts or {}).items())),
-                         dismax, tie_breaker,
-                         rank_column, rank_weight, rank_mode,
-                         decay_column, decay_origin, decay_scale,
-                         decay_offset,
-                         tuple(negative_terms or ()), negative_boost,
-                         (None if restrict_ids is None
-                          else tuple(np.sort(np.asarray(
-                              restrict_ids, np.uint64)).tolist())),
-                         self.index.mutation_version)
+            cache_key = req.key(self.index.mutation_version)
             hit = self._result_cache.get(cache_key)
             if hit is not None:
-                import time as _time
-
                 expiry, table = hit
-                if _time.time() < expiry:
+                if time.time() < expiry:
                     self._result_cache.move_to_end(cache_key)
                     self._cache_hits += 1
                     return table
@@ -1373,77 +1389,58 @@ class SearchEngine:
             if self._persistent is not None:
                 # cross-process tier: the version is already the last
                 # element of cache_key, so a mutated index never hits
-                import time as _time
-
                 pt = self._persistent.get(
                     self._index_name, {"key": repr(cache_key)},
                     version=cache_key[-1])
                 if pt is not None:
-                    self._result_cache[cache_key] = (
-                        _time.time() + self._cache_ttl, pt)
+                    self._cache_store(cache_key, pt)
                     return pt
-        weights = self._field_weight_vector(field_weights or self.default_weights)
-        cq, query, term_boosts, orig_terms = self._compile_search(
-            query, mode=mode, fuzzy=fuzzy, fuzzy_mode=fuzzy_mode,
-            prefix_last=prefix_last, near_distance=near_distance,
-            merge_tokens=merge_tokens, slop=slop, in_fields=in_fields,
-            min_should_match=min_should_match, term_boosts=term_boosts,
-            dismax=dismax, tie_breaker=tie_breaker,
-            exclude_terms=exclude_terms)
+        weights = self._field_weight_vector(req.field_weights
+                                            or self.default_weights)
+        cq, query, orig_terms = self._compile_search(req)
         if not cq.phrases:
-            return self._empty_result(with_docs)
-        if use_wand and self._wand_eligible(
-                cq, fuzzy=fuzzy, filters=filters, language=language,
-                geo_filters=geo_filters, unique_by_route=unique_by_route,
-                min_score=min_score, sort=sort, post_rescore=post_rescore,
-                term_boosts=term_boosts, rank_column=rank_column,
-                rank_weight=rank_weight,
-                decay_column=decay_column, negative_terms=negative_terms,
-                restrict_ids=restrict_ids, distance_weight=distance_weight,
-                slop=slop, enable_suggestions=enable_suggestions):
-            doc_ids, rank = self._wand_search(cq, weights, offset + limit)
-        else:
-            doc_ids, rank = self._score(cq, weights)
+            return self._empty_result(req.with_docs)
+        doc_ids, rank = self._score(cq, weights)
         if doc_ids.size and self.index.tombstones.size:
             live = ~np.isin(doc_ids, self.index.tombstones)
             doc_ids, rank = doc_ids[live], rank[live]
-        if restrict_ids is not None and doc_ids.size:
+        if req.restrict_ids is not None and doc_ids.size:
             # ES `ids` / terms-by-_id filter (extension): prune the
             # match set to an explicit doc-id allowlist; scoring
             # (df/idf/dl) is unaffected, like exclude_terms.
-            allow = np.asarray(restrict_ids, dtype=np.uint64)
+            allow = np.asarray(req.restrict_ids, dtype=np.uint64)
             keep = np.isin(doc_ids, allow)
             doc_ids, rank = doc_ids[keep], rank[keep]
-        if doc_ids.size and (filters or language):
-            keep = self._apply_filters(doc_ids, filters, language)
+        if doc_ids.size and (req.filters or req.language):
+            keep = self._apply_filters(doc_ids, req.filters, req.language)
             doc_ids, rank = doc_ids[keep], rank[keep]
-        if rank_column and rank_weight and doc_ids.size:
+        if req.rank_column and req.rank_weight and doc_ids.size:
             # static-rank doc boost (ES function_score
             # field_value_factor(log1p) shape, an extension): blend a
             # stored numeric column into the score BEFORE sorting.
             # add:      score += w * ln(1 + max(v, 0))
             # multiply: score *= 1 + w * ln(1 + max(v, 0))
-            if rank_mode not in ("add", "multiply"):
+            if req.rank_mode not in ("add", "multiply"):
                 raise ValueError("rank_mode must be 'add' or 'multiply'")
-            vals = self.index.meta_for(rank_column, doc_ids)
+            vals = self.index.meta_for(req.rank_column, doc_ids)
             f = np.log1p(np.maximum(np.asarray(vals, np.float64), 0.0))
             s = np.abs(rank)
-            s = (s * (1.0 + rank_weight * f) if rank_mode == "multiply"
-                 else s + rank_weight * f)
+            s = (s * (1.0 + req.rank_weight * f) if req.rank_mode == "multiply"
+                 else s + req.rank_weight * f)
             rank = -s
-        if decay_column and decay_scale > 0 and doc_ids.size:
+        if req.decay_column and req.decay_scale > 0 and doc_ids.size:
             # ES function_score gauss decay (extension): multiply the
             # score by exp(-max(0, |v-origin|-offset)^2 / (2*scale^2))
             # over the FULL match set, BEFORE sorting/pagination, so
             # decay can promote docs from outside the BM25 page.
-            vals = np.asarray(self.index.meta_for(decay_column, doc_ids),
+            vals = np.asarray(self.index.meta_for(req.decay_column, doc_ids),
                               np.float64)
             d = np.maximum(
-                np.abs(vals - float(decay_origin)) - float(decay_offset),
+                np.abs(vals - float(req.decay_origin)) - float(req.decay_offset),
                 0.0)
             rank = -(np.abs(rank)
-                     * np.exp(-(d * d) / (2.0 * float(decay_scale) ** 2)))
-        if negative_terms and doc_ids.size:
+                     * np.exp(-(d * d) / (2.0 * float(req.decay_scale) ** 2)))
+        if req.negative_terms and doc_ids.size:
             # ES `boosting` query (extension): docs matching ANY of the
             # negative terms keep their positive score multiplied by
             # negative_boost — a demotion, never an exclusion.  Applied
@@ -1451,38 +1448,38 @@ class SearchEngine:
             # demoted doc can fall out of (and a clean doc rise into)
             # the page, exactly like the decay multiplier above.
             neg = np.zeros(doc_ids.size, dtype=bool)
-            for nt in negative_terms:
+            for nt in req.negative_terms:
                 ids = self.match_ids(str(nt), mode="or")
                 if ids.size:
                     neg |= np.isin(doc_ids, ids)
             s = np.abs(rank)
-            s[neg] *= float(negative_boost)
+            s[neg] *= float(req.negative_boost)
             rank = -s
         distances = None
-        if geo_filters and doc_ids.size:
-            doc_ids, rank, distances = self._apply_geo(doc_ids, rank, geo_filters)
+        if req.geo_filters and doc_ids.size:
+            doc_ids, rank, distances = self._apply_geo(doc_ids, rank, req.geo_filters)
         # widen before dedup (reference widens to max_results :129-137);
         # post_rescore must keep the full clamp(limit*20, 200, 2000)
         # candidate pool alive so rescoring can promote docs from outside
         # the final page (reference :901-913) — truncate only afterwards.
-        if unique_by_route or fuzzy:
+        if req.unique_by_route or req.fuzzy:
             page_n = MAX_RESULTS
-        elif post_rescore:
+        elif req.post_rescore:
             page_n = max(offset + limit, int(np.clip(limit * 20, 200, 2000)))
         else:
             page_n = offset + limit
         # rows of the ranked order read below: the distance re-sort
         # draws from the first clamp(limit*20, 200, MAX_RESULTS)
-        by_distance = distances is not None and geo_filters.get("sort_by_distance")
+        by_distance = distances is not None and req.geo_filters.get("sort_by_distance")
         need = MAX_RESULTS if by_distance else page_n
         if min(offset, limit) < 0:  # negative slices read from the end
             need = doc_ids.size
         # ORDER BY rank ASC, doc_id ASC  (reference :1096) over the rows
         # at or above the need-th rank, ties kept — or an explicit column
         # sort (reference :1106-1128: direct/metadata columns)
-        if sort is not None and doc_ids.size:
-            col, direction = (sort if isinstance(sort, (tuple, list))
-                              else (sort, "asc"))
+        if req.sort is not None and doc_ids.size:
+            col, direction = (req.sort if isinstance(req.sort, (tuple, list))
+                              else (req.sort, "asc"))
             vals = self.index.meta_for(col, doc_ids)
             key = np.argsort(vals, kind="stable")
             if str(direction).lower().startswith("desc"):
@@ -1506,12 +1503,12 @@ class SearchEngine:
         if distances is not None:
             distances = distances[: doc_ids.size]
         # min_score on abs score (processResults :717-729)
-        if min_score > 0:
-            keep = score >= min_score
+        if req.min_score > 0:
+            keep = score >= req.min_score
             doc_ids, rank, score = doc_ids[keep], rank[keep], score[keep]
             if distances is not None:
                 distances = distances[keep]
-        if post_rescore and doc_ids.size:
+        if req.post_rescore and doc_ids.size:
             # candidate widening then PHP-style rescore + resort
             # (reference :901-913, :1226-1234: clamp(limit·20, 200, 2000))
             widen = int(np.clip(limit * 20, 200, 2000))
@@ -1519,17 +1516,17 @@ class SearchEngine:
             terms = [t for ph in cq.phrases for t in ph.terms][:8]
             score = self._field_weighted_rescore(
                 doc_ids, score, terms,
-                field_weights or self.default_weights or {})
+                req.field_weights or self.default_weights or {})
             order = np.lexsort((doc_ids, -score))
             doc_ids, score = doc_ids[order], score[order]
             rank = -score
-        if fuzzy and doc_ids.size and orig_terms:
+        if req.fuzzy and doc_ids.size and orig_terms:
             score = self._apply_fuzzy_penalty(doc_ids, score, orig_terms)
             order = np.lexsort((doc_ids, -score))  # re-sort after penalty
             doc_ids, score = doc_ids[order], score[order]
             rank = -score
-        if unique_by_route and route_column:
-            doc_ids, score = self._dedup_by_route(doc_ids, score, route_column)
+        if req.unique_by_route and req.route_column:
+            doc_ids, score = self._dedup_by_route(doc_ids, score, req.route_column)
             rank = -score
             distances = None  # representative rows reordered
         # page slice
@@ -1538,45 +1535,45 @@ class SearchEngine:
         if distances is not None:
             distances = distances[offset : offset + limit]
         # normalize 0-100 by max in page (quirk preserved: per-page max)
-        if normalize and score.size:
+        if req.normalize and score.size:
             m = score.max()
             if m > 0:
                 score = score / m * 100.0
         # distance blend (§2.9 step 5): after normalization, then re-sort
         # the page by the blended score
-        if distances is not None and distance_weight > 0 and score.size:
+        if distances is not None and req.distance_weight > 0 and score.size:
             from ..functions.geo import distance_blend
 
-            score = distance_blend(score, distances, weight=distance_weight)
+            score = distance_blend(score, distances, weight=req.distance_weight)
             o3 = np.lexsort((doc_ids, -score))
             doc_ids, score, distances = doc_ids[o3], score[o3], distances[o3]
-        if round_scores is not None:
-            score = np.round(score, round_scores)
+        if req.round_scores is not None:
+            score = np.round(score, req.round_scores)
         cols = {"doc_id": pa.array(doc_ids, pa.uint64()),
                 "score": pa.array(score, pa.float64())}
         if distances is not None:
             cols["distance_km"] = pa.array(np.round(distances, 4), pa.float64())
         out = pa.table(cols)
-        if with_docs or highlight:
+        if req.with_docs or req.highlight:
             docs = self.index.docs(doc_ids)
             id_col = self.index.id_column
             # join in doc_id order
             dt = docs.take(pc.index_in(pa.array(doc_ids, pa.uint64()),
                                        value_set=docs[id_col]))
             stored = [c for c in dt.column_names if c != id_col]
-            for c in (result_fields or stored):
+            for c in (req.result_fields or stored):
                 if c in stored:
                     # result types are inferred from the values (string,
                     # int64, double; null when the page is empty), not
                     # the docstore's (large_string, uint64, ...)
                     out = out.append_column(c, pa.array(dt[c].to_pylist()))
-            if highlight:
+            if req.highlight:
                 terms = [t for ph in cq.phrases for t in ph.terms]
                 body_col = self.index.fields[-1][1]
                 snips = [make_snippet(s, terms)
                          for s in dt[body_col].to_pylist()]
                 out = out.append_column("highlight", pa.array(snips, pa.string()))
-        if enable_suggestions and out.num_rows == 0:
+        if req.enable_suggestions and out.num_rows == 0:
             # reference attaches a did-you-mean to empty result sets
             # (SearchEngine.php:238-249 -> generateSuggestion); the Arrow
             # mapping is schema metadata on the (empty) result table
@@ -1585,67 +1582,65 @@ class SearchEngine:
                 out = out.replace_schema_metadata(
                     {b"suggestion": sug["suggestion"][0].as_py().encode()})
         if cache_key is not None:
-            import time as _time
-
-            self._result_cache[cache_key] = (_time.time() + self._cache_ttl, out)
-            if len(self._result_cache) > self._cache_max:
-                self._result_cache.popitem(last=False)
+            self._cache_store(cache_key, out)
             if self._persistent is not None:
                 self._persistent.set(
                     self._index_name, {"key": repr(cache_key)}, out,
                     ttl=int(self._cache_ttl), version=cache_key[-1])
         return out
 
-    def _compile_search(self, query: str, *, mode: str = "smart",
-                        fuzzy: bool = False, fuzzy_mode: str = "correction",
-                        prefix_last: bool = False, near_distance: int = 10,
-                        merge_tokens: bool = False, slop: int = 0,
-                        in_fields=None, min_should_match: int = 1,
-                        term_boosts: dict | None = None, dismax: bool = False,
-                        tie_breaker: float = 0.0, exclude_terms=None, **_):
+    def _cache_store(self, key: tuple, table: pa.Table) -> None:
+        """Insert into the in-process result LRU, evicting the oldest
+        entries past ``_cache_max``."""
+        self._result_cache[key] = (time.time() + self._cache_ttl, table)
+        while len(self._result_cache) > self._cache_max:
+            self._result_cache.popitem(last=False)
+
+    def _compile_search(self, req: SearchRequest):
         """search()'s query compilation: returns (compiled query, query
-        text after boost-syntax stripping and token merging, term boosts,
-        the fuzzy rewrite's original terms).  ``explain()`` compiles
-        through this same call, so the plan it reports is the one
-        ``search()`` runs; options that act after scoring are ignored."""
+        text after boost-syntax stripping and token merging, the fuzzy
+        rewrite's original terms).  ``explain()`` compiles through this
+        same call, so the plan it reports is the one ``search()`` runs;
+        options that act after scoring are ignored."""
         orig_terms: list[str] = []
-        query, term_boosts = self._parse_boost_syntax(query, term_boosts)
-        if merge_tokens and not fuzzy:
+        query, term_boosts = self._parse_boost_syntax(req.query,
+                                                      req.term_boosts)
+        if req.merge_tokens and not req.fuzzy:
             query = self._merge_adjacent_tokens(query)
-        if fuzzy:
-            cq, orig_terms = self._compile_fuzzy(query, fuzzy_mode)
+        if req.fuzzy:
+            cq, orig_terms = self._compile_fuzzy(query, req.fuzzy_mode)
         else:
-            cq = compile_query(query, self.analyzer, mode=mode,
-                               prefix_last=prefix_last,
-                               near_distance=near_distance)
-        if slop > 0:
+            cq = compile_query(query, self.analyzer, mode=req.mode,
+                               prefix_last=req.prefix_last,
+                               near_distance=req.near_distance)
+        if req.slop > 0:
             # sloppy phrase (ordered proximity) — applies to the
             # multi-term phrase components; singles are unaffected
             for ph in cq.phrases:
                 if len(ph.terms) > 1 and not ph.prefix:
-                    ph.slop = int(slop)
-        if in_fields:
-            if mode == "smart" and cq.near_terms:
+                    ph.slop = int(req.slop)
+        if req.in_fields:
+            if req.mode == "smart" and cq.near_terms:
                 raise ValueError(
                     "in_fields requires mode in {'and','or','phrase'} — "
                     "the smart-mode NEAR arm is not field-restrictable")
             names = [f[0] for f in self.index.fields]
-            unknown = [f for f in in_fields if f not in names]
+            unknown = [f for f in req.in_fields if f not in names]
             if unknown:
                 raise KeyError(f"unknown index fields: {unknown}")
-            cq.fields = frozenset(names.index(f) for f in in_fields)
-        if int(min_should_match) > 1:
-            if mode != "or" or fuzzy:
+            cq.fields = frozenset(names.index(f) for f in req.in_fields)
+        if int(req.min_should_match) > 1:
+            if req.mode != "or" or req.fuzzy:
                 raise ValueError(
                     "min_should_match requires mode='or' without fuzzy — "
                     "other modes fix their own match-set semantics")
-            cq.min_should_match = int(min_should_match)
+            cq.min_should_match = int(req.min_should_match)
         if term_boosts:
             # query-time term boosts (Lucene `term^2`): multiply the
             # matching single-term arm's BM25 contribution.  or/and only:
             # smart mode's NEAR arm re-scores member terms through a
             # separate window-filtered kernel that must stay FTS5-pinned.
-            if mode not in ("or", "and") or fuzzy:
+            if req.mode not in ("or", "and") or req.fuzzy:
                 raise ValueError(
                     "term_boosts requires mode in {'or','and'} without fuzzy")
             if any(b <= 0 for b in term_boosts.values()):
@@ -1653,21 +1648,21 @@ class SearchEngine:
             for ph in cq.phrases:
                 if len(ph.terms) == 1 and ph.terms[0] in term_boosts:
                     ph.boost = float(term_boosts[ph.terms[0]])
-        if dismax:
+        if req.dismax:
             # dis_max combines OR arms by max; other modes either have a
             # single arm (phrase) or conjunction semantics where ES
             # defines no dis_max analogue — keep the surface honest.
-            if mode != "or" or fuzzy:
+            if req.mode != "or" or req.fuzzy:
                 raise ValueError("dismax requires mode='or' without fuzzy")
-            if not (0.0 <= float(tie_breaker) <= 1.0):
+            if not (0.0 <= float(req.tie_breaker) <= 1.0):
                 raise ValueError("tie_breaker must be in [0, 1]")
-            cq.dismax, cq.tie_breaker = True, float(tie_breaker)
-        if exclude_terms:
-            for x in exclude_terms:
+            cq.dismax, cq.tie_breaker = True, float(req.tie_breaker)
+        if req.exclude_terms:
+            for x in req.exclude_terms:
                 g = self.analyzer.match_terms(x)
                 for sub in g:
                     cq.exclude.append(Phrase(sub))
-        if self.synonyms and not fuzzy:
+        if self.synonyms and not req.fuzzy:
             extra = self._expand_synonyms(
                 [ph.terms for ph in cq.phrases if len(ph.terms) == 1])
             for g in extra:
@@ -1675,7 +1670,7 @@ class SearchEngine:
                 cq.phrases.append(ph)
                 if cq.any_of:
                     cq.any_of.append(ph)
-        return cq, query, term_boosts, orig_terms
+        return cq, query, orig_terms
 
     def _merge_adjacent_tokens(self, query: str) -> str:
         """tryMergeTokens (reference :1539-1592): merge adjacent query
@@ -1694,75 +1689,6 @@ class SearchEngine:
                 out.append(toks[i])
                 i += 1
         return " ".join(out)
-
-    # ---------------- block-max WAND ----------------------------------
-    # WAND stays OPT-IN: the pure-Python doc-at-a-time loop loses to the
-    # vectorized scan on in-memory postings, because this corpus's df ~
-    # 0.7N gives WAND nothing to skip while the scan streams contiguous
-    # arrays.  Measured on the 50k-doc perfbench query_hot index (4-CPU
-    # host), over the six WAND-eligible queries of the benchmark set:
-    # p50 316 ms with WAND vs 1.9 ms for the scan.  WAND remains the
-    # right serving shape when cursors stream from disk/compressed
-    # blocks (the 100 TB path); rank identity with the scan is
-    # property-pinned in tests/test_wand.
-    def _wand_eligible(self, cq, *, fuzzy=False, filters=None, language=None,
-                       geo_filters=None, unique_by_route=False,
-                       min_score=0.0, sort=None, post_rescore=False,
-                       term_boosts=None, rank_column=None, rank_weight=0.0,
-                       decay_column=None, negative_terms=None,
-                       restrict_ids=None, distance_weight=0.0, slop=0,
-                       enable_suggestions=False, **_) -> bool:
-        """Whether WAND's top-(offset+limit) cut serves ``cq`` exactly —
-        the one gate ``search()`` and ``explain()`` share; takes any of
-        ``search()``'s options and ignores the rest.  Filters, dedup,
-        rescoring and every rank modifier (rank blend, decay, negative
-        terms, id allowlist, distance blend, slop, suggestions) prune or
-        re-order AFTER BM25, so WAND would hand them an incomplete
-        candidate set; in_fields, min_should_match, dismax, term boosts
-        and exclude terms reach the gate through ``cq``."""
-        return (
-            not fuzzy and not filters and not language and not geo_filters
-            and not unique_by_route and min_score == 0 and sort is None
-            and not post_rescore and not term_boosts
-            and rank_column is None and rank_weight == 0.0
-            and decay_column is None and not negative_terms
-            and restrict_ids is None and distance_weight == 0.0
-            and slop == 0 and not enable_suggestions
-            and cq.fields is None and cq.min_should_match == 1
-            and not cq.dismax and not cq.exclude
-            and all(ph.boost == 1.0 for ph in cq.phrases)
-            and self.index.tombstones.size == 0
-            and cq.mode in ("or", "smart")
-            and all(len(p.terms) == 1 and not p.prefix for p in cq.phrases)
-        )
-
-    def _wand_search(self, cq, weights: np.ndarray, k: int):
-        """Top-k via block-max WAND over the term cursors — exact same
-        result as the full scan (see wand.py).  OPT-IN (`use_wand=True`):
-        the document-at-a-time loop is pure Python, so on in-memory
-        decoded postings the numpy full scan is faster at moderate df;
-        WAND is the right serving shape when cursors stream from disk /
-        compressed blocks where skipping avoids IO + decode."""
-        from .bm25 import idf as _idf_fn
-        from .wand import TermCursor, wand_topk
-
-        N = self.index.n_docs
-        row_ids = self.index.meta(self.index.id_column)
-        cursors = []
-        for ph in cq.phrases:
-            posts = self._term_postings(ph.terms[0])
-            if not posts:
-                continue
-            prow = self._posting_rows(posts)
-            rows, tfw = self._arm_tfs(posts, prow, self._row_mask(prow),
-                                      weights)
-            cursors.append(TermCursor(row_ids[rows], tfw,
-                                      _idf_fn(N, int(rows.size))))
-        if not cursors:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        docs, scores = wand_topk(cursors, self.index.dl_total_for,
-                                 self.index.avgdl, k)
-        return docs, -scores  # rank = negated (all idfs ≥ 1e-6 → positive)
 
     # ---------------- geo ---------------------------------------------
     def _apply_geo(self, doc_ids, rank, geo_filters: dict):
@@ -2488,17 +2414,9 @@ class SearchEngine:
 
     def count(self, query: str, *, mode: str = "smart", filters=None,
               language: str | None = None, field_weights=None) -> int:
-        weights = self._field_weight_vector(field_weights or self.default_weights)
-        cq = compile_query(query, self.analyzer, mode=mode)
-        if not cq.phrases:
-            return 0
-        doc_ids, _ = self._score(cq, weights)
-        if doc_ids.size and self.index.tombstones.size:
-            doc_ids = doc_ids[~np.isin(doc_ids, self.index.tombstones)]
-        if doc_ids.size:
-            keep = self._apply_filters(doc_ids, filters, language)
-            doc_ids = doc_ids[keep]
-        return int(doc_ids.size)
+        """Size of the live match set; field weights never change it."""
+        return int(self.match_ids(query, mode=mode, filters=filters,
+                                  language=language).size)
 
     def match_ids(self, query: str, *, mode: str = "smart",
                   filters=None, language: str | None = None) -> np.ndarray:
@@ -2517,21 +2435,16 @@ class SearchEngine:
             doc_ids = doc_ids[keep]
         return doc_ids
 
-    def explain(self, query: str, *, mode: str = "smart",
-                fuzzy: bool = False, fuzzy_mode: str = "correction",
-                prefix_last: bool = False, near_distance: int = 10,
-                **search_kwargs) -> dict:
+    def explain(self, query: str, **options) -> dict:
         """Query plan introspection — the analog of the reference CLI's
         ``debug:query`` (``bin/yetisearch:137-155``), which prints the
         generated SQL + bind params + EXPLAIN QUERY PLAN.  There is no
         SQL here; the equivalent artifacts are the compiled query (arms,
         mode, NEAR params), the fuzzy rewrite if any, per-arm document
-        frequencies, the posting PARTITIONS each term reads (the I/O
-        plan), and which execution path serves it (WAND vs full scan)."""
-        cq, query, term_boosts, orig_terms = self._compile_search(
-            query, mode=mode, fuzzy=fuzzy, fuzzy_mode=fuzzy_mode,
-            prefix_last=prefix_last, near_distance=near_distance,
-            **search_kwargs)
+        frequencies and the posting PARTITIONS each term reads (the I/O
+        plan).  ``options`` are ``search()``'s."""
+        req = SearchRequest(query, **options)
+        cq, query, orig_terms = self._compile_search(req)
         arms = []
         dfs = self.arm_dfs(cq)
         for ph in cq.phrases:
@@ -2548,8 +2461,6 @@ class SearchEngine:
             if ph.boost != 1.0:
                 arm["boost"] = ph.boost
             arms.append(arm)
-        wand_ok = self._wand_eligible(
-            cq, fuzzy=fuzzy, **dict(search_kwargs, term_boosts=term_boosts))
         plan = {
             "query": query,
             "mode": cq.mode,
@@ -2558,31 +2469,27 @@ class SearchEngine:
             "stats": {"n_docs": self.index.n_docs,
                       "avgdl": self.index.avgdl,
                       "tombstones": int(self.index.tombstones.size)},
-            "execution_path": ("wand" if wand_ok and
-                               search_kwargs.get("use_wand") else "scan"),
-            "wand_eligible": wand_ok,
         }
         if cq.near_terms:
             plan["near"] = {"terms": list(cq.near_terms),
                             "distance": cq.near_distance}
-        if fuzzy:
+        if req.fuzzy:
             plan["fuzzy"] = {"original_terms": orig_terms,
                              "corrected_terms":
                                  [t for ph in cq.phrases for t in ph.terms]}
         # round-3 query-feature surface, reflected so debug-query dumps
         # the full effective plan
         if cq.fields is not None:
-            plan["in_fields"] = {"fields": list(search_kwargs["in_fields"]),
+            plan["in_fields"] = {"fields": list(req.in_fields),
                                  "field_ids": sorted(cq.fields)}
         if cq.min_should_match > 1:
             plan["min_should_match"] = cq.min_should_match
         if cq.dismax:
             plan["dismax"] = {"tie_breaker": cq.tie_breaker}
-        if search_kwargs.get("rank_column"):
-            plan["rank_boost"] = {
-                "column": search_kwargs["rank_column"],
-                "weight": float(search_kwargs.get("rank_weight", 0.0)),
-                "mode": search_kwargs.get("rank_mode", "add")}
+        if req.rank_column:
+            plan["rank_boost"] = {"column": req.rank_column,
+                                  "weight": float(req.rank_weight),
+                                  "mode": req.rank_mode}
         return plan
 
     # ---------------- result-cache introspection ----------------------
@@ -2680,10 +2587,7 @@ class SearchActor:
     def __init__(self, index_dir: str, search_defaults: dict | None = None,
                  **engine_kwargs):
         self.engine = SearchEngine(open_index(index_dir), **engine_kwargs)
-        # per-search defaults applied to every query this actor serves —
-        # e.g. {"use_wand": True} to serve eligible queries through the
-        # block-max WAND path (opt-in; see the measured-default note in
-        # search())
+        # per-search defaults applied to every query this actor serves
         self.search_defaults = dict(search_defaults or {})
 
     def __call__(self, batch: pa.Table) -> pa.Table:
