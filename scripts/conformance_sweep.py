@@ -3,9 +3,15 @@
 rows / columns / sorted-value hash, mirroring the external driver's
 CORRECTNESS gate so regressions surface before a round closes.
 
-Usage: python scripts/conformance_sweep.py [sf_dir] [entry ...]
+Usage: python scripts/conformance_sweep.py [sf_dir] [pattern ...]
+
+Each pattern is an entry name or an ``fnmatch`` pattern (quote it from
+the shell): ``'ev_*'`` runs every event entry.  With no pattern every
+entry runs.  Exits 2 when a pattern matches no entry, 1 when an entry
+errors or differs from its oracle.
 """
 
+import fnmatch
 import hashlib
 import json
 import os
@@ -48,7 +54,7 @@ def _hash(df: pd.DataFrame) -> str:
 
 def main() -> None:
     sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+    patterns = sys.argv[2:]
     if not ray.is_initialized():
         ray.init(address="local", include_dashboard=False, ignore_reinit_error=True)
 
@@ -56,6 +62,10 @@ def main() -> None:
 
     queries = entrymod.queries()
     oracles = entrymod.oracle_sql()
+    unmatched = [p for p in patterns if not fnmatch.filter(queries, p)]
+    if unmatched:
+        print(f"no entry matches: {' '.join(unmatched)}", file=sys.stderr)
+        sys.exit(2)
 
     con = duckdb.connect()
     for t in TABLES:
@@ -65,7 +75,8 @@ def main() -> None:
 
     report = {}
     for name, fn in queries.items():
-        if only and name not in only:
+        if patterns and not any(fnmatch.fnmatch(name, p)
+                                for p in patterns):
             continue
         row = {"rows": None, "oracle_rows": None, "hash_match": None, "err": None}
         t0 = time.time()

@@ -378,60 +378,6 @@ class TestMultimodal:
         rms = np.stack(df.rms_windows.to_numpy())
         assert np.allclose(rms, 0.5 * 32767 / 32768 / np.sqrt(2), atol=5e-3)
 
-    def test_binary_payload_plumbing(self, docs_ds):
-        from yetisearch_ray.pipelines.multimodal import (
-            decode_features,
-            frame_sample,
-            to_binary_payloads,
-        )
-
-        payloads = to_binary_payloads(docs_ds, kind="image")
-        sch = payloads.schema()
-        assert dict(zip(sch.names, [str(t) for t in sch.types]))["payload"] == "binary"
-        feats = decode_features(payloads, feature_dim=8, concurrency=2).to_pandas()
-        assert feats.features.map(len).eq(8).all()
-        frames = frame_sample(payloads, every_n_bytes=64, max_frames=3)
-        fdf = frames.to_pandas()
-        assert fdf.frame_index.max() <= 2
-        assert (fdf.groupby("doc_id").size() >= 1).all()
-
-    def test_resize_plumbing(self, docs_ds):
-        from yetisearch_ray.pipelines.multimodal import (resize_images,
-                                                         to_binary_payloads)
-
-        payloads = to_binary_payloads(docs_ds.limit(20))
-        out = resize_images(payloads, target_w=8, target_h=4).to_pandas()
-        assert len(out) == 20
-        assert (out.width == 8).all() and (out.height == 4).all()
-        assert all(len(p) == 32 for p in out.payload)
-        # deterministic: same input -> same bytes
-        out2 = resize_images(to_binary_payloads(docs_ds.limit(20)),
-                             target_w=8, target_h=4).to_pandas()
-        a = out.sort_values("doc_id").payload.tolist()
-        b = out2.sort_values("doc_id").payload.tolist()
-        assert a == b
-
-    def test_strict_resize_raises(self, ray_session):
-        from yetisearch_ray.pipelines.multimodal import ResizeStage
-
-        with pytest.raises(NotImplementedError):
-            ResizeStage(strict=True)._resize_one(b"abc")
-
-    def test_strict_decode_raises(self, ray_session):
-        from yetisearch_ray.pipelines.multimodal import DecodeStage
-
-        stage = DecodeStage(strict=True)
-        t = pa.table({"doc_id": pa.array([1]), "payload": pa.array([b"x"], pa.binary())})
-        with pytest.raises(NotImplementedError):
-            stage(t)
-
-    def test_decoder_is_deterministic(self, ray_session):
-        from yetisearch_ray.pipelines.multimodal import DecodeStage
-
-        a = DecodeStage(feature_dim=4)._decode_one(b"hello")
-        b = DecodeStage(feature_dim=4)._decode_one(b"hello")
-        assert np.array_equal(a, b)
-
 
 class TestBatchSearchSink:
     def test_batch_search_to_parquet(self, ray_session, tmp_path):

@@ -20,6 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..stages.bucketed import bucketed_apply
 
 _MERSENNE = (1 << 61) - 1
 
@@ -324,19 +325,10 @@ def dedup_paragraphs(ds, *, text_col: str = "text", id_col: str = "doc_id",
     surv = paras.join(_join_ready(winners.select_columns(["packed"]), nparts),
                       "left_semi", nparts, on=("packed",))
 
-    import pandas as pd
-
-    buckets = 64
-
-    def bucket(t: pa.Table) -> pa.Table:
-        d = t[id_col].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(d.astype(np.int64) % buckets, pa.int64()))
-
     def rebuild(g: pd.DataFrame) -> pa.Table:
-        # docs group by a HASH BUCKET; one (doc, pidx) sort per bucket
-        # rebuilds every doc at once — ListArray offsets + binary_join
-        # (the c4_line_clean idiom), no per-doc Python (round 5)
+        # one (doc, pidx) sort per bucket of docs rebuilds every doc at
+        # once — ListArray offsets + binary_join (the c4_line_clean
+        # idiom), no per-doc Python (round 5)
         g = g.sort_values([id_col, "pidx"], kind="mergesort")
         u = g[id_col].to_numpy(np.int64)
         starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
@@ -355,8 +347,7 @@ def dedup_paragraphs(ds, *, text_col: str = "text", id_col: str = "doc_id",
             "n_removed": pa.array(n_removed, pa.int64()),
         })
 
-    return (surv.map_batches(bucket, batch_format="pyarrow")
-            .groupby("_bkt").map_groups(rebuild, batch_format="pandas"))
+    return bucketed_apply(surv, id_col, rebuild)
 
 
 # ------------------------------------------------------------------ shingles

@@ -13,6 +13,11 @@ operators are part of the training-data-pipeline extension).
 - ``asof_join_orders``: for each event, the latest order of the same
   customer at-or-before the event time (``pd.merge_asof`` per key
   bucket — the guide's as-of join shape).
+
+Per-key operators (per user, per window) exchange through one
+``stages.bucketed.bucketed_apply(ds, key, kernel)``: rows co-locate by
+a hash bucket of the key and the kernel runs once per bucket,
+vectorized across every key in it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.bucketed import bucket_ids, bucketed_apply
 
 # per-worker broadcast-side split cache for the as-of join: the orders
 # frame is deserialized from the object store and partitioned by custkey
@@ -30,17 +36,17 @@ import pyarrow.compute as pc
 _ASOF_CACHE: dict = {}
 
 
-def _asof_buckets(orders_ref, buckets: int) -> dict:
+def _asof_buckets(orders_ref) -> dict:
     """Per-worker cache: the broadcast (date-sorted) orders frame split
-    into user-hash buckets ONCE per process; per-group work is then a
-    dict lookup, never a scan of the full broadcast frame."""
+    by ``bucket_ids`` of the customer ONCE per process; per-group work
+    is then a dict lookup, never a scan of the full broadcast frame."""
     import ray
 
-    key = (orders_ref.hex(), buckets)
+    key = orders_ref.hex()
     v = _ASOF_CACHE.get(key)
     if v is None:
         od = ray.get(orders_ref)
-        b = od["o_custkey"].to_numpy().astype(np.int64) % buckets
+        b = bucket_ids(od["o_custkey"])
         # groupby(array) preserves within-group row order, so each
         # bucket frame stays globally sorted by o_orderdate
         v = {int(k): f.reset_index(drop=True)
@@ -48,6 +54,11 @@ def _asof_buckets(orders_ref, buckets: int) -> dict:
         _ASOF_CACHE.clear()  # one broadcast table live at a time
         _ASOF_CACHE[key] = v
     return v
+
+
+def _us(ts: pd.Series) -> np.ndarray:
+    """Timestamps as int64 microseconds since the epoch."""
+    return ts.to_numpy().astype("datetime64[us]").astype(np.int64)
 
 
 def tumbling_window(sf_dir: str, *, width_minutes: int = 60):
@@ -115,27 +126,19 @@ def sliding_window(sf_dir: str, *, width_minutes: int = 60,
     return pdf.sort_values(["event_type", "window_start"]).reset_index(drop=True)
 
 
-def session_windows(sf_dir: str, *, gap_minutes: int = 30, min_events: int = 1,
-                    buckets: int = 64):
+def session_windows(sf_dir: str, *, gap_minutes: int = 30, min_events: int = 1):
     """Per-user sessions: consecutive events with gaps < ``gap_minutes``.
 
-    Users group by a HASH BUCKET so ``map_groups`` makes one vectorized
-    Arrow-emitting call per bucket: one (user, ts) sort + a shifted
-    break mask (user change OR gap >= threshold) derives every user's
-    sessions at once via segment arithmetic (round 5 — was one Python
-    call per user)."""
+    Users go through one ``bucketed_apply``; each Arrow-emitting call
+    makes one (user, ts) sort + a shifted break mask (user change OR
+    gap >= threshold) and derives every user's sessions in the bucket
+    at once via segment arithmetic (round 5 — was one Python call per
+    user)."""
     import ray.data as rd
 
-    from .dedup import _strip_meta
-
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]))
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["user_id", "ts"])
     gap64 = np.timedelta64(gap_minutes * 60, "s").astype("timedelta64[us]")
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(u.astype(np.int64) % buckets, pa.int64()))
 
     def sessions(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
@@ -154,9 +157,7 @@ def session_windows(sf_dir: str, *, gap_minutes: int = 30, min_events: int = 1,
             "n_events": pa.array(n[keep].astype(np.int64), pa.int64()),
         })
 
-    out = (ds.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(sessions, batch_format="pandas"))
-    pdf = out.to_pandas()
+    pdf = bucketed_apply(ds, "user_id", sessions).to_pandas()
     pdf["n_events"] = pdf["n_events"].astype("int64")
     pdf["user_id"] = pdf["user_id"].astype("int64")
     return pdf.sort_values(["user_id", "session_start"]).reset_index(drop=True)
@@ -182,9 +183,6 @@ def asof_join_orders(sf_dir: str, *, direction: str = "backward",
     import ray
     import ray.data as rd
 
-    from .dedup import _strip_meta
-
-    buckets = 64
     orders = pd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_custkey", "o_orderkey", "o_orderdate"])
     # collapse date ties ONCE driver-side: backward keeps the max
@@ -196,18 +194,12 @@ def asof_join_orders(sf_dir: str, *, direction: str = "backward",
     orders = orders.sort_values("o_orderdate", kind="mergesort")
     orders_ref = ray.put(orders)
 
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts"]))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(u.astype(np.int64) % buckets, pa.int64()))
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["event_id", "user_id", "ts"])
 
     def join_bucket(g: pd.DataFrame) -> pa.Table:
-        ob = _asof_buckets(orders_ref, buckets).get(
-            int(g["_bkt"].iloc[0]))
+        ob = _asof_buckets(orders_ref).get(
+            int(bucket_ids(g["user_id"].iloc[:1])[0]))
         g = g.sort_values("ts", kind="mergesort")
         if ob is None:
             j = g.assign(
@@ -233,9 +225,7 @@ def asof_join_orders(sf_dir: str, *, direction: str = "backward",
                 pa.int64()),
         })
 
-    out = (ds.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(join_bucket,
-                                       batch_format="pandas"))
+    out = bucketed_apply(ds, "user_id", join_bucket)
     if as_dataset:
         # streaming contract for the 100 TB path: arrowified, null
         # orderkeys coalesced to -1, ordered by event id
@@ -277,17 +267,8 @@ def funnel_counts(sf_dir: str, *, stages=("view", "click", "purchase")):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .dedup import _strip_meta
-
-    buckets = 64
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type"]))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(u.astype(np.int64) % buckets, pa.int64()))
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["user_id", "ts", "event_type"])
 
     def reach(g: pd.DataFrame) -> pa.Table:
         # chained per-stage min-after-previous, vectorized across users
@@ -311,8 +292,7 @@ def funnel_counts(sf_dir: str, *, stages=("view", "click", "purchase")):
             "n": pa.array(cnt[nz].astype(np.int64), pa.int64()),
         })
 
-    counts = (ds.map_batches(bucket, batch_format="pyarrow")
-              .groupby("_bkt").map_groups(reach, batch_format="pandas")
+    counts = (bucketed_apply(ds, "user_id", reach)
               .groupby("reached")
               .aggregate(Sum("n", alias_name="n")).to_pandas())
     by_reach = dict(zip(counts["reached"].astype(int), counts["n"].astype(int)))
@@ -364,8 +344,8 @@ def windowed_topk(sf_dir: str, *, width_minutes: int = 60, n: int = 3):
 
     Distributed shape: the same map-side window derivation + one
     (event_type, window) groupby as ``tumbling_window``; the per-window
-    top-``n`` then groups by a WINDOW-HASH BUCKET over the aggregate
-    (|windows| x |types| rows, never the event stream) so one
+    top-``n`` then runs ``bucketed_apply`` keyed on the window over the
+    aggregate (|windows| x |types| rows, never the event stream) so one
     vectorized call per bucket ranks every window at once (round 5 —
     at a year-of-minute-windows horizon the per-window map_groups was
     ~500k Python calls).  Ties (count desc, event_type asc).  Columns
@@ -374,7 +354,6 @@ def windowed_topk(sf_dir: str, *, width_minutes: int = 60, n: int = 3):
     import ray.data as rd
     from ray.data.aggregate import Count
 
-    buckets = 64
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["ts", "event_type"])
 
@@ -389,13 +368,6 @@ def windowed_topk(sf_dir: str, *, width_minutes: int = 60, n: int = 3):
            .groupby(["event_type", "window_start"])
            .aggregate(Count(alias_name="n")))
 
-    def bucket(t: pa.Table) -> pa.Table:
-        wi = t["window_start"].cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        b = (wi // (width_minutes * 60_000_000)) % buckets
-        return t.append_column(
-            "_bkt", pa.array(b.astype(np.int64), pa.int64()))
-
     def topn(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["window_start", "n", "event_type"],
                           ascending=[True, False, True], kind="mergesort")
@@ -409,9 +381,7 @@ def windowed_topk(sf_dir: str, *, width_minutes: int = 60, n: int = 3):
             "rk": pa.array(rk.to_numpy(np.int64), pa.int64()),
         })
 
-    out = (agg.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(topn, batch_format="pandas")
-           .to_pandas())
+    out = bucketed_apply(agg, "window_start", topn).to_pandas()
     out["n"] = out["n"].astype("int64")
     return (out[["window_start", "event_type", "n", "rk"]]
             .sort_values(["window_start", "rk"]).reset_index(drop=True))
@@ -424,9 +394,8 @@ def retention_cohorts(sf_dir: str):
     itself).  The standard growth-analytics triangle.
 
     Distributed shape: per-batch distinct ``(user_id, week)`` pairs
-    (map-side combine), one global pair-dedup groupby, then users group
-    by a HASH BUCKET (user_id mod ``buckets``) so ``map_groups`` makes
-    one vectorized Arrow-emitting call per bucket — inside, one sort +
+    (map-side combine), one global pair-dedup groupby, then users go
+    through ``bucketed_apply`` with an Arrow-emitting kernel — one sort +
     segment arithmetic derives every user's (cohort_week, offset) rows
     at once (pandas blocks entering a shuffle are ~20x slower than
     Arrow, round-4 finding) — and a final aggregate-sized
@@ -435,7 +404,6 @@ def retention_cohorts(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Count
 
-    buckets = 64
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"])
 
@@ -446,14 +414,8 @@ def retention_cohorts(sf_dir: str):
             .group_by(["user_id", "wk"]).aggregate([])
 
     pairs = (ds.map_batches(derive, batch_format="pyarrow")
-             .groupby(["user_id", "wk"]).aggregate(Count(alias_name="_n")))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": t["user_id"], "wk": t["wk"],
-            "_bkt": pa.array(u.astype(np.int64) % buckets, pa.int64()),
-        })
+             .groupby(["user_id", "wk"]).aggregate(Count(alias_name="_n"))
+             .select_columns(["user_id", "wk"]))
 
     week_us = np.timedelta64(7, "D").astype("timedelta64[us]")
 
@@ -468,10 +430,8 @@ def retention_cohorts(sf_dir: str):
         return pa.table({"cohort_week": pa.array(cw),
                          "offset_weeks": pa.array(offs, pa.int64())})
 
-    rows = (pairs.map_batches(bucket, batch_format="pyarrow")
-            .groupby("_bkt").map_groups(per_bucket,
-                                        batch_format="pandas"))
-    out = (rows.groupby(["cohort_week", "offset_weeks"])
+    out = (bucketed_apply(pairs, "user_id", per_bucket)
+           .groupby(["cohort_week", "offset_weeks"])
            .aggregate(Count(alias_name="n_users")).to_pandas())
     out["offset_weeks"] = out["offset_weeks"].astype("int64")
     out["n_users"] = out["n_users"].astype("int64")
@@ -517,18 +477,17 @@ def type_cooccurrence(sf_dir: str):
 
     Distributed shape: the same map-side-combined distinct
     ``(user_id, event_type)`` pairs as ``distinct_users_per_type``;
-    users then group by a HASH BUCKET so ``map_groups`` makes one
-    vectorized call per bucket — a pandas self-merge on user_id builds
-    every user's a-before-b pairs at once and the per-bucket partial COUNT
-    collapses them before the exchange (Arrow blocks out; pandas
-    blocks entering a shuffle are ~20x slower, round-4 finding) — and
-    a final pair-keyed Sum groupby.  The all-pairs blowup stays
-    bounded per user by the (tiny) type vocabulary, never by the
-    event stream.  Columns (type_a, type_b, n_users)."""
+    users then go through ``bucketed_apply`` — a pandas self-merge on
+    user_id builds every user's a-before-b pairs at once and the
+    per-bucket partial COUNT collapses them before the exchange (Arrow
+    blocks out; pandas blocks entering a shuffle are ~20x slower,
+    round-4 finding) — and a final pair-keyed Sum groupby.  The
+    all-pairs blowup stays bounded per user by the (tiny) type
+    vocabulary, never by the event stream.  Columns (type_a, type_b,
+    n_users)."""
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    buckets = 64
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
 
@@ -538,14 +497,8 @@ def type_cooccurrence(sf_dir: str):
 
     pairs = (ds.map_batches(batch_distinct, batch_format="pyarrow")
              .groupby(["user_id", "event_type"])
-             .aggregate(Count(alias_name="_n")))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": t["user_id"], "event_type": t["event_type"],
-            "_bkt": pa.array(u.astype(np.int64) % buckets, pa.int64()),
-        })
+             .aggregate(Count(alias_name="_n"))
+             .select_columns(["user_id", "event_type"]))
 
     def combos(g: pd.DataFrame) -> pa.Table:
         d = g[["user_id", "event_type"]]
@@ -559,10 +512,8 @@ def type_cooccurrence(sf_dir: str):
             "n": pa.array(c["n"].to_numpy(np.int64), pa.int64()),
         })
 
-    partial = (pairs.map_batches(bucket, batch_format="pyarrow")
-               .groupby("_bkt").map_groups(combos,
-                                           batch_format="pandas"))
-    out = (partial.groupby(["type_a", "type_b"])
+    out = (bucketed_apply(pairs, "user_id", combos)
+           .groupby(["type_a", "type_b"])
            .aggregate(Sum("n", alias_name="n_users")).to_pandas())
     out["n_users"] = out["n_users"].astype("int64")
     return out.sort_values(["type_a", "type_b"]).reset_index(drop=True)
@@ -575,7 +526,7 @@ def window_self_join(sf_dir: str, *, within_minutes: int = 5):
     pair once), counted per (type_a, type_b).  The co-visitation /
     next-action shape of a streaming two-sided join.
 
-    Distributed shape: users group by a HASH BUCKET (one hash
+    Distributed shape: users go through ``bucketed_apply`` (one hash
     shuffle); inside each bucket ONE vectorized sweep handles every
     user at once — user segments are lifted onto a shared int64 axis
     (each segment offset by a stride wider than the global time range,
@@ -591,27 +542,15 @@ def window_self_join(sf_dir: str, *, within_minutes: int = 5):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    buckets = 64
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_type",
                                   "event_id"])
     width_us = np.int64(within_minutes * 60) * 1_000_000
 
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": t["user_id"],
-            "ts_us": t["ts"].cast(pa.int64()),
-            "event_type": t["event_type"],
-            "event_id": t["event_id"],
-            "_bkt": pa.array(u.astype(np.int64) % buckets, pa.int64()),
-        })
-
     def pairs(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["user_id", "ts_us", "event_id"],
-                          kind="mergesort")
+        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy(np.int64)
-        ts = g["ts_us"].to_numpy(np.int64)
+        ts = _us(g["ts"])
         et = g["event_type"].to_numpy()
         n = ts.size
         empty = pa.table({"type_a": pa.array([], pa.string()),
@@ -654,10 +593,8 @@ def window_self_join(sf_dir: str, *, within_minutes: int = 5):
             "n": pa.array(cnt["n"].to_numpy(np.int64), pa.int64()),
         })
 
-    partial = (ds.map_batches(bucket, batch_format="pyarrow")
-               .groupby("_bkt").map_groups(pairs,
-                                           batch_format="pandas"))
-    out = (partial.groupby(["type_a", "type_b"])
+    out = (bucketed_apply(ds, "user_id", pairs)
+           .groupby(["type_a", "type_b"])
            .aggregate(Sum("n", alias_name="n_pairs")).to_pandas())
     out["n_pairs"] = out["n_pairs"].astype("int64")
     return out.sort_values(["type_a", "type_b"]).reset_index(drop=True)
@@ -700,8 +637,8 @@ def user_gap_stats(sf_dir: str):
     in seconds between consecutive events (the SQL ``lag()`` window
     shape; liveness/engagement profiling).
 
-    Distributed shape: users group by a HASH BUCKET; one vectorized
-    (user, ts, event_id) sort + masked shifted-difference pass per
+    Distributed shape: users go through ``bucketed_apply``; one
+    vectorized (user, ts, event_id) sort + masked shifted-difference pass per
     bucket computes every user's gap stats at once (segment boundaries
     mask the cross-user gap; round 5 — was one Python call per user),
     the driver sees one Arrow row per user.  Single-event users report
@@ -710,27 +647,13 @@ def user_gap_stats(sf_dir: str):
     (user_id, n_events, mean_gap_sec, max_gap_sec)."""
     import ray.data as rd
 
-    from .dedup import _strip_meta
-
-    buckets = 64
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id"]))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": t["user_id"],
-            "ts_us": t["ts"].cast(pa.int64()),
-            "event_id": t["event_id"],
-            "_bkt": pa.array(u.astype(np.int64) % buckets, pa.int64()),
-        })
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["user_id", "ts", "event_id"])
 
     def gaps(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["user_id", "ts_us", "event_id"],
-                          kind="mergesort")
+        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy(np.int64)
-        ts = g["ts_us"].to_numpy(np.int64)
+        ts = _us(g["ts"])
         same = np.zeros(u.size, dtype=bool)
         same[1:] = u[1:] == u[:-1]
         d = np.zeros(u.size, np.float64)
@@ -749,9 +672,7 @@ def user_gap_stats(sf_dir: str):
             "max_gap_sec": pa.array(np.round(dmax, 4), pa.float64()),
         })
 
-    out = (ds.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(gaps, batch_format="pandas")
-           .to_pandas())
+    out = bucketed_apply(ds, "user_id", gaps).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -761,8 +682,8 @@ def transition_matrix(sf_dir: str):
     (type_from, type_to) — the Markov-chain / next-action shape (SQL
     ``lead()`` window).
 
-    Distributed shape: users group by a HASH BUCKET; one vectorized
-    (user, ts, event_id) sort per bucket emits every user's adjacent
+    Distributed shape: users go through ``bucketed_apply``; one
+    vectorized (user, ts, event_id) sort per bucket emits every user's adjacent
     pairs at once (a same-user mask drops the cross-user shift), and
     the per-bucket partial pair counts leave as Arrow before the final
     tiny Sum groupby (round 5 — was one Python call per user).
@@ -770,17 +691,8 @@ def transition_matrix(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .dedup import _strip_meta
-
-    buckets = 64
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "event_id"]))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(u.astype(np.int64) % buckets, pa.int64()))
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["user_id", "ts", "event_type", "event_id"])
 
     def shifts(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"],
@@ -798,8 +710,7 @@ def transition_matrix(sf_dir: str):
             "n": pa.array(c["n"].to_numpy(np.int64), pa.int64()),
         })
 
-    out = (ds.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(shifts, batch_format="pandas")
+    out = (bucketed_apply(ds, "user_id", shifts)
            .groupby(["type_from", "type_to"])
            .aggregate(Sum("n", alias_name="n")).to_pandas())
     out["n"] = out["n"].astype("int64")
@@ -982,8 +893,8 @@ def session_stats(sf_dir: str, *, gap_minutes: int = 30,
     duration, mean/max events per session, under the same >=gap break
     rule as ``session_windows`` — the health-dashboard scalar rollup.
 
-    Distributed shape: users group by a HASH BUCKET; one vectorized
-    (user, ts) sort + break mask per bucket emits ONE Arrow ROW PER
+    Distributed shape: users go through ``bucketed_apply``; one
+    vectorized (user, ts) sort + break mask per bucket emits ONE Arrow ROW PER
     SESSION (duration, size) for every user at once (round 5 — was one
     Python call per user); the raw stream and even the session table
     never reach the driver — a final scalar aggregate returns one row.
@@ -991,17 +902,9 @@ def session_stats(sf_dir: str, *, gap_minutes: int = 30,
     import ray.data as rd
     from ray.data.aggregate import Count, Max, Mean
 
-    from .dedup import _strip_meta
-
-    buckets = 64
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]))
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["user_id", "ts"])
     gap64 = np.timedelta64(gap_minutes * 60, "s").astype("timedelta64[us]")
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(u.astype(np.int64) % buckets, pa.int64()))
 
     def sess(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
@@ -1018,12 +921,11 @@ def session_stats(sf_dir: str, *, gap_minutes: int = 30,
                                      pa.float64()),
             "n_events": pa.array(n.astype(np.int64), pa.int64())})
 
-    per = (ds.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(sess, batch_format="pandas"))
-    agg = (per.aggregate(Count(alias_name="n_sessions"),
-                         Mean("duration_sec", alias_name="mean_duration_sec"),
-                         Mean("n_events", alias_name="mean_events"),
-                         Max("n_events", alias_name="max_events")))
+    agg = bucketed_apply(ds, "user_id", sess).aggregate(
+        Count(alias_name="n_sessions"),
+        Mean("duration_sec", alias_name="mean_duration_sec"),
+        Mean("n_events", alias_name="mean_events"),
+        Max("n_events", alias_name="max_events"))
     return pd.DataFrame({
         "n_sessions": pd.array([agg["n_sessions"]], dtype="int64"),
         "mean_duration_sec": [round(float(agg["mean_duration_sec"]), round_to)],
@@ -1093,24 +995,16 @@ def latest_event_per_user(sf_dir: str):
     (ties on ts broken by event_id desc) — the current-state snapshot
     every CDC/profile pipeline derives from an append-only log.
 
-    Distributed shape: users group by a HASH BUCKET; one vectorized
-    (user, ts, event_id) lexsort per bucket takes every user's last
+    Distributed shape: users go through ``bucketed_apply``; one
+    vectorized (user, ts, event_id) lexsort per bucket takes every user's last
     row at once via segment ends (round 5 — was one Python call per
     user) — the log never globally sorts.
     Columns (user_id, ts, event_type, value)."""
     import ray.data as rd
 
-    from .dedup import _strip_meta
-
-    buckets = 64
-    ds = _strip_meta(rd.read_parquet(
+    ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type", "value"]))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(u.astype(np.int64) % buckets, pa.int64()))
+        columns=["user_id", "ts", "event_id", "event_type", "value"])
 
     def latest(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"],
@@ -1127,9 +1021,7 @@ def latest_event_per_user(sf_dir: str):
                               pa.float64()),
         })
 
-    out = (ds.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(latest, batch_format="pandas")
-           .to_pandas())
+    out = bucketed_apply(ds, "user_id", latest).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -1263,25 +1155,17 @@ def bounce_rate(sf_dir: str, *, gap_minutes: int = 30,
     fraction containing exactly one event — the engagement-quality KPI
     derived from the same >=gap sessionization as ``session_windows``.
 
-    Distributed shape: users group by a HASH BUCKET; the vectorized
-    per-bucket session kernel (same break-mask segment arithmetic as
+    Distributed shape: users go through ``bucketed_apply``; the
+    vectorized per-bucket session kernel (same break-mask segment arithmetic as
     ``session_windows``) emits one Arrow row per session (start day,
     bounce flag) for every user at once; a |days|-row aggregate
     finishes.  Columns (day, n_sessions, n_bounce, bounce_rate)."""
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .dedup import _strip_meta
-
-    buckets = 64
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]))
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["user_id", "ts"])
     gap64 = np.timedelta64(gap_minutes * 60, "s").astype("timedelta64[us]")
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(u.astype(np.int64) % buckets, pa.int64()))
 
     def sess(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
@@ -1298,8 +1182,7 @@ def bounce_rate(sf_dir: str, *, gap_minutes: int = 30,
             "bounce": pa.array((n == 1).astype(np.int64), pa.int64()),
         })
 
-    agg = (ds.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(sess, batch_format="pandas")
+    agg = (bucketed_apply(ds, "user_id", sess)
            .groupby("day")
            .aggregate(Sum("one", alias_name="n_sessions"),
                       Sum("bounce", alias_name="n_bounce")).to_pandas())
@@ -1348,7 +1231,7 @@ def time_to_convert(sf_dir: str, *, from_type: str = "view",
     it; reported as one summary row (n_converted, mean, median, max) —
     the latency-funnel KPI.
 
-    Distributed shape: users group by a HASH BUCKET; two C-level
+    Distributed shape: users go through ``bucketed_apply``; two C-level
     passes per bucket (per-user min from-time, then per-user min
     to-time at-or-after it) compute every converting user's delta at
     once (round 5 — was one Python call per user); the |users|-row
@@ -1356,17 +1239,8 @@ def time_to_convert(sf_dir: str, *, from_type: str = "view",
     Columns (n_converted, mean_sec, median_sec, max_sec)."""
     import ray.data as rd
 
-    from .dedup import _strip_meta
-
-    buckets = 64
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type"]))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(u.astype(np.int64) % buckets, pa.int64()))
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["user_id", "ts", "event_type"])
 
     def delta(g: pd.DataFrame) -> pa.Table:
         f = (g[g["event_type"] == from_type]
@@ -1379,9 +1253,7 @@ def time_to_convert(sf_dir: str, *, from_type: str = "view",
              / pd.Timedelta(seconds=1)).to_numpy(np.float64)
         return pa.table({"d": pa.array(d, pa.float64())})
 
-    deltas = (ds.map_batches(bucket, batch_format="pyarrow")
-              .groupby("_bkt").map_groups(delta, batch_format="pandas")
-              .to_pandas())
+    deltas = bucketed_apply(ds, "user_id", delta).to_pandas()
     d = deltas["d"].to_numpy(np.float64)
     if d.size == 0:
         return pd.DataFrame({"n_converted": pd.array([0], dtype="int64"),
@@ -1402,25 +1274,18 @@ def user_type_entropy(sf_dir: str, *, k: int = 50, round_to: int = 6):
     ln(|types|) for uniform ones.  Returns the first ``k`` users by id.
 
     Distributed shape: map-side distinct-pair counts feed one
-    (user, type) groupby; users then group by a HASH BUCKET and one
-    vectorized segment pass per bucket folds every user's entropy at
+    (user, type) groupby; users then go through ``bucketed_apply`` and
+    one vectorized segment pass per bucket folds every user's entropy at
     once (round 5 — was one Python call per user).
     Columns (user_id, n_events, entropy)."""
     import ray.data as rd
     from ray.data.aggregate import Count
 
-    buckets = 64
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
     counts = (ds.groupby(["user_id", "event_type"])
-              .aggregate(Count(alias_name="n")))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": t["user_id"], "n": t["n"],
-            "_bkt": pa.array(u.astype(np.int64) % buckets, pa.int64()),
-        })
+              .aggregate(Count(alias_name="n"))
+              .select_columns(["user_id", "n"]))
 
     def ent(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values("user_id", kind="mergesort")
@@ -1436,9 +1301,7 @@ def user_type_entropy(sf_dir: str, *, k: int = 50, round_to: int = 6):
             "entropy": pa.array(np.round(h, round_to), pa.float64()),
         })
 
-    out = (counts.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(ent, batch_format="pandas")
-           .to_pandas())
+    out = bucketed_apply(counts, "user_id", ent).to_pandas()
     return (out.sort_values("user_id").head(k)
             .reset_index(drop=True))
 
@@ -1449,17 +1312,16 @@ def weekly_churn(sf_dir: str, *, round_to: int = 6):
     they went missing).  The complement of week-over-week retention.
 
     Distributed shape: per-batch distinct (user_id, week) pairs
-    (map-side combine) -> one global pair-dedup groupby -> users group
-    by a HASH BUCKET so ``map_groups`` makes one vectorized call per
-    bucket (a pandas self-merge on (user, week+7d) marks presence for
-    every user at once; the per-bucket partial count collapses to
-    |weeks| Arrow rows before the exchange — pandas blocks entering a
-    shuffle are ~20x slower, round-4 finding) -> a final |weeks|-row
-    Sum aggregate.  Columns (week, active_prev, churned, churn_rate)."""
+    (map-side combine) -> one global pair-dedup groupby -> users go
+    through ``bucketed_apply`` (a pandas self-merge on (user, week+7d)
+    marks presence for every user at once; the per-bucket partial
+    count collapses to |weeks| Arrow rows before the exchange — pandas
+    blocks entering a shuffle are ~20x slower, round-4 finding) -> a
+    final |weeks|-row Sum aggregate.  Columns (week, active_prev,
+    churned, churn_rate)."""
     import ray.data as rd
     from ray.data.aggregate import Count, Max, Sum
 
-    buckets = 64
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"])
 
@@ -1474,13 +1336,6 @@ def weekly_churn(sf_dir: str, *, round_to: int = 6):
     max_wk = pairs.aggregate(Max("wk", alias_name="m"))["m"]
     max_wk64 = np.datetime64(max_wk, "us")
     week_us = np.timedelta64(7, "D").astype("timedelta64[us]")
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": t["user_id"], "wk": t["wk"],
-            "_bkt": pa.array(u.astype(np.int64) % buckets, pa.int64()),
-        })
 
     def per_bucket(g: pd.DataFrame) -> pa.Table:
         d = pd.DataFrame({
@@ -1509,10 +1364,9 @@ def weekly_churn(sf_dir: str, *, round_to: int = 6):
                                 pa.int64()),
         })
 
-    rows = (pairs.map_batches(bucket, batch_format="pyarrow")
-            .groupby("_bkt").map_groups(per_bucket,
-                                        batch_format="pandas"))
-    out = (rows.groupby("week")
+    out = (bucketed_apply(pairs.select_columns(["user_id", "wk"]),
+                          "user_id", per_bucket)
+           .groupby("week")
            .aggregate(Sum("active_prev", alias_name="active_prev"),
                       Sum("churned", alias_name="churned")).to_pandas())
     out["active_prev"] = out["active_prev"].astype("int64")
@@ -1529,26 +1383,17 @@ def user_value_quartiles(sf_dir: str, *, tiles: int = 4,
     within-entity window-function shape (SQL ``NTILE(4) OVER
     (PARTITION BY user_id ORDER BY value, event_id)``).
 
-    Distributed shape: users group by a HASH BUCKET (one shuffle); one
-    vectorized lexsort per bucket assigns every user's tiles at once
-    via segment-rank arithmetic (SQL NTILE sizing: the first n%k tiles
-    get one extra row); only (tile, partial sums) leave the bucket, as
-    Arrow (pandas blocks entering a shuffle are ~20x slower, round-4
-    finding).  Columns (tile, n, mean_value)."""
+    Distributed shape: users go through ``bucketed_apply`` (one
+    shuffle); one vectorized lexsort per bucket assigns every user's
+    tiles at once via segment-rank arithmetic (SQL NTILE sizing: the
+    first n%k tiles get one extra row); only (tile, partial sums) leave
+    the bucket, as Arrow (pandas blocks entering a shuffle are ~20x
+    slower, round-4 finding).  Columns (tile, n, mean_value)."""
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    buckets = 64
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_id", "value"])
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": t["user_id"], "event_id": t["event_id"],
-            "value": t["value"],
-            "_bkt": pa.array(u.astype(np.int64) % buckets, pa.int64()),
-        })
 
     def per_bucket(g: pd.DataFrame) -> pa.Table:
         order = np.lexsort((g["event_id"].to_numpy(),
@@ -1576,9 +1421,7 @@ def user_value_quartiles(sf_dir: str, *, tiles: int = 4,
             "s": pa.array(s[keep], pa.float64()),
         })
 
-    agg = (ds.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(per_bucket,
-                                       batch_format="pandas")
+    agg = (bucketed_apply(ds, "user_id", per_bucket)
            .groupby("tile")
            .aggregate(Sum("n", alias_name="n"),
                       Sum("s", alias_name="s")).to_pandas())
@@ -1600,7 +1443,7 @@ def first_last_drift(sf_dir: str, *, round_to: int = 6):
 
     Distributed shape: per-batch per-user (argmin, argmax) endpoint
     partials — each batch contributes at most one candidate pair per
-    user it sees — then candidates group by a user-hash BUCKET and one
+    user it sees — then candidates go through ``bucketed_apply`` and one
     vectorized lexsort per bucket merges every user's endpoints at
     once (round 5 — was one Python call per user), emitting per-bucket
     partial sums as Arrow; the final aggregate is one row.
@@ -1634,13 +1477,6 @@ def first_last_drift(sf_dir: str, *, round_to: int = 6):
             "l_val": pa.array(vo[last_idx], pa.float64()),
         })
 
-    buckets = 64
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_bkt", pa.array(u.astype(np.int64) % buckets, pa.int64()))
-
     def merge(g: pd.DataFrame) -> pa.Table:
         u = g["user_id"].to_numpy(np.int64)
         # per-user global first: lexsort by (user, f_ts, f_eid), take
@@ -1664,9 +1500,8 @@ def first_last_drift(sf_dir: str, *, round_to: int = 6):
             "one": pa.array([int(d.size)], pa.int64()),
         })
 
-    row = (ds.map_batches(endpoints, batch_format="pyarrow")
-           .map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(merge, batch_format="pandas")
+    row = (bucketed_apply(ds.map_batches(endpoints, batch_format="pyarrow"),
+                          "user_id", merge)
            .aggregate(Sum("one", alias_name="n"),
                       Sum("up", alias_name="up"),
                       Sum("down", alias_name="down"),
@@ -1767,8 +1602,7 @@ def watermark_late_counts(sf_dir: str, *, lateness_sec: int = 3600,
             [["event_type", "n_events", "n_late"]])
 
 
-def time_weighted_avg(sf_dir: str, *, round_to: int = 6,
-                      buckets: int = 64):
+def time_weighted_avg(sf_dir: str, *, round_to: int = 6):
     """Per-user TIME-WEIGHTED average of the event value — the
     irregular-sampling streaming aggregate (each sample holds until the
     next event): twa = Σ value_i·Δt_i / Σ Δt_i with Δt_i the gap to the
@@ -1777,35 +1611,20 @@ def time_weighted_avg(sf_dir: str, *, round_to: int = 6,
     — twa would be 0/0; the oracle's HAVING clause encodes the same
     exclusion).
 
-    Distributed shape: users group by a HASH BUCKET (user_id mod
-    ``buckets``) so ``map_groups`` makes one vectorized call per
-    bucket — inside, one sort + one shifted-difference pass computes
+    Distributed shape: users go through ``bucketed_apply`` — per
+    bucket, one sort + one shifted-difference pass computes
     every user's weights at once (segment boundaries mask the
     cross-user gap).  Ties on ts break by event_id, matching the SQL
     window's ORDER BY.  Columns (user_id, n_gaps, twa)."""
     import ray.data as rd
 
-    from .dedup import _strip_meta
-
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "value"]))
-
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "user_id": t["user_id"],
-            "event_id": t["event_id"],
-            "ts_us": t["ts"].cast(pa.int64()),
-            "value": t["value"],
-            "_bkt": pa.array(u.astype(np.int64) % buckets, pa.int64()),
-        })
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["event_id", "user_id", "ts", "value"])
 
     def twa(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["user_id", "ts_us", "event_id"],
-                          kind="mergesort")
+        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy(np.int64)
-        ts = g["ts_us"].to_numpy(np.int64)
+        ts = _us(g["ts"])
         v = g["value"].to_numpy(np.float64)
         same = np.concatenate([u[1:] == u[:-1], [False]])
         dt = np.concatenate([(ts[1:] - ts[:-1]).astype(np.float64), [0.0]])
@@ -1822,21 +1641,18 @@ def time_weighted_avg(sf_dir: str, *, round_to: int = 6,
                             pa.float64()),
         })
 
-    out = (ds.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(twa, batch_format="pandas")
-           .to_pandas())
+    out = bucketed_apply(ds, "user_id", twa).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
 def windowed_quantiles(sf_dir: str, *, width_minutes: int = 1440,
-                       qs=(0.5, 0.95), round_to: int = 6,
-                       buckets: int = 32):
+                       qs=(0.5, 0.95), round_to: int = 6):
     """EXACT per-window value quantiles (percentile_disc semantics) over
     tumbling event-time windows — the windowed-selection aggregate a
     monitoring pipeline runs next to the windowed counts.
 
-    Distributed shape: windows group by a HASH BUCKET so ``map_groups``
-    makes one vectorized call per bucket of windows; inside, one sort
+    Distributed shape: windows go through ``bucketed_apply`` keyed on
+    ``window_start``; per bucket of windows, one sort
     by (window, value) + per-window offset arithmetic reads every
     requested quantile with numpy indexing (percentile_disc index
     ceil(q*n)-1).  Each window's rows are bounded by the window width,
@@ -1844,27 +1660,18 @@ def windowed_quantiles(sf_dir: str, *, width_minutes: int = 1440,
     Columns (window_start, q, value)."""
     import ray.data as rd
 
-    from .dedup import _strip_meta
-
     # epoch-origin floor vs DuckDB time_bucket's 2000-01-03 origin:
     # boundaries coincide only for day-dividing widths (round-4 ADVICE)
     assert 1440 % int(width_minutes) == 0, \
         "width_minutes must divide 1440 (day-aligned windows)"
 
-    ds = _strip_meta(rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "value"]))
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["ts", "value"])
 
     def derive(t: pa.Table) -> pa.Table:
         w = pc.floor_temporal(t["ts"], multiple=width_minutes,
                               unit="minute")
-        wi = w.cast(pa.int64())
-        b = (wi.to_numpy(zero_copy_only=False)
-             // (width_minutes * 60_000_000)) % buckets
-        return pa.table({
-            "window_start": w,
-            "value": t["value"],
-            "_bkt": pa.array(b.astype(np.int64), pa.int64()),
-        })
+        return pa.table({"window_start": w, "value": t["value"]})
 
     qarr = np.asarray(sorted(qs), np.float64)
 
@@ -1887,8 +1694,7 @@ def windowed_quantiles(sf_dir: str, *, width_minutes: int = 1440,
                               pa.float64()),
         })
 
-    out = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(quant, batch_format="pandas")
-           .to_pandas())
+    out = bucketed_apply(ds.map_batches(derive, batch_format="pyarrow"),
+                         "window_start", quant).to_pandas()
     return (out.sort_values(["window_start", "q"])
             .reset_index(drop=True))

@@ -1,174 +1,24 @@
-"""Multimodal column plumbing: opaque binary payloads + typed metadata.
+"""Multimodal pipelines: binary media payloads + actor-pool decode stages.
 
-Image/audio decode libraries are not available in this container, so the
-DECODE step is stubbed (deterministic fake features, or
-NotImplementedError in strict mode) — but the Ray-side plumbing is real
-and tested: schema (binary payload + struct metadata), actor-pool
-map_batches stages with per-actor setup, small batch sizes for large
-binary rows, and Arrow-native (never pandas) handling of binary columns.
+Every leg carries a real codec with no external library: WAV audio
+(stdlib ``wave``), PPM images (P6 parser + nearest-neighbour resize)
+and QOI images (encoder + decoder); baseline JPEG lives in ``jpeg.py``.
+Each leg synthesizes deterministic payloads, so decoded features have
+exact expected values.  The Ray-side layout is shared: a binary
+``payload`` column with typed metadata, actor-pool ``map_batches``
+stages with per-actor setup, small batch sizes for large binary rows,
+and Arrow-native (never pandas) handling of binary columns.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pyarrow as pa
 
 
-def to_binary_payloads(ds, *, source_col="text", id_col="doc_id", kind="image"):
-    """Wrap a column as an opaque binary payload with typed metadata —
-    the canonical multimodal input layout."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        payloads = [(s or "").encode("utf-8") for s in t[source_col].to_pylist()]
-        return pa.table({
-            id_col: t[id_col],
-            "payload": pa.array(payloads, pa.binary()),
-            "media_type": pa.array([kind] * t.num_rows, pa.string()),
-            "n_bytes": pa.array([len(p) for p in payloads], pa.int64()),
-        })
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
-class DecodeStage:
-    """Actor-pool decode stage.
-
-    ``strict=True`` raises NotImplementedError (no image/audio libs in
-    this container — clearly marked stub); ``strict=False`` produces a
-    deterministic fake feature vector derived from the payload bytes, so
-    the downstream plumbing (schema, batching, actor reuse) is fully
-    exercised.  Real deployments replace ``_decode_one``.
-    """
-
-    def __init__(self, *, feature_dim: int = 16, strict: bool = False):
-        self.feature_dim = feature_dim
-        self.strict = strict
-        self.calls = 0  # per-actor state: proves one instance serves many batches
-
-    def _decode_one(self, payload: bytes) -> np.ndarray:
-        if self.strict:
-            raise NotImplementedError(
-                "media decode requires image/audio libraries not present in "
-                "this environment; run with strict=False for the "
-                "deterministic stub"
-            )
-        h = hashlib.blake2b(payload, digest_size=self.feature_dim * 4).digest()
-        return (
-            np.frombuffer(h, dtype=np.uint32).astype(np.float64)
-            / np.iinfo(np.uint32).max
-        )
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        self.calls += 1
-        feats = [self._decode_one(p) for p in t["payload"].to_pylist()]
-        flat = np.concatenate(feats) if feats else np.empty(0)
-        offsets = pa.array(
-            np.arange(0, (len(feats) + 1) * self.feature_dim, self.feature_dim,
-                      dtype=np.int32)
-        )
-        col = pa.ListArray.from_arrays(offsets, pa.array(flat, pa.float64()))
-        out = t.select([c for c in t.column_names if c != "payload"])
-        return out.append_column("features", col)
-
-
-def decode_features(ds, *, feature_dim=16, concurrency=(1, 2), batch_size=256,
-                    strict=False):
-    """Actor-pool decode: small batches (large binary rows), setup once
-    per actor."""
-    return ds.map_batches(
-        DecodeStage,
-        fn_constructor_kwargs={"feature_dim": feature_dim, "strict": strict},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
-def frame_sample(ds, *, every_n_bytes=256, max_frames=4, id_col="doc_id"):
-    """Frame-sampling analogue over binary payloads: emit up to
-    ``max_frames`` fixed-offset slices per payload as separate rows
-    (flat-map shape — one input row → N output rows)."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        ids, frame_idx, frames = [], [], []
-        for i, p in enumerate(t["payload"].to_pylist()):
-            did = t[id_col][i].as_py()
-            for f in range(min(max_frames, max(1, len(p) // every_n_bytes))):
-                ids.append(did)
-                frame_idx.append(f)
-                frames.append(p[f * every_n_bytes : (f + 1) * every_n_bytes])
-        return pa.table({
-            id_col: pa.array(ids),
-            "frame_index": pa.array(frame_idx, pa.int32()),
-            "frame": pa.array(frames, pa.binary()),
-        })
-
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=256)
-
-
-class ResizeStage:
-    """Actor-pool resize stage (image-resize analogue).
-
-    ``strict=True`` raises NotImplementedError (no image libs in this
-    container); ``strict=False`` performs a deterministic byte-grid
-    downsample of the payload to ``target_w*target_h`` bytes so the
-    Ray-side plumbing (actor signature, small-batch sizing for large
-    binary rows, output schema) is real and tested.  Real deployments
-    replace ``_resize_one`` with PIL/libvips.
-    """
-
-    def __init__(self, *, target_w: int = 16, target_h: int = 16,
-                 strict: bool = False):
-        self.target_w = target_w
-        self.target_h = target_h
-        self.strict = strict
-
-    def _resize_one(self, payload: bytes) -> bytes:
-        if self.strict:
-            raise NotImplementedError(
-                "image resize requires PIL/libvips not present in this "
-                "environment; run with strict=False for the deterministic "
-                "byte-grid stub")
-        n = self.target_w * self.target_h
-        if not payload:
-            return bytes(n)
-        idx = np.linspace(0, len(payload) - 1, n).astype(np.int64)
-        arr = np.frombuffer(payload, dtype=np.uint8)
-        return arr[idx].tobytes()
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        resized = [self._resize_one(p) for p in t["payload"].to_pylist()]
-        out = t.select([c for c in t.column_names if c != "payload"])
-        out = out.append_column("payload", pa.array(resized, pa.binary()))
-        out = out.append_column("width", pa.array(
-            [self.target_w] * t.num_rows, pa.int32()))
-        out = out.append_column("height", pa.array(
-            [self.target_h] * t.num_rows, pa.int32()))
-        return out
-
-
-def resize_images(ds, *, target_w=16, target_h=16, concurrency=(1, 2),
-                  batch_size=128, strict=False):
-    """Actor-pool resize: small batches (large binary rows), stage state
-    built once per actor."""
-    return ds.map_batches(
-        ResizeStage,
-        fn_constructor_kwargs={"target_w": target_w, "target_h": target_h,
-                               "strict": strict},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
 # ------------------------------------------------------------------ WAV audio
 # WAV (RIFF PCM) needs no external codec — the stdlib `wave` module
-# parses it — so the audio leg of the multimodal story is REAL here,
-# not a stub: synthesize → decode → windowed-RMS features end-to-end.
+# parses it: synthesize → decode → windowed-RMS features end-to-end.
 
 
 def synth_wav(freq_hz: float, *, seconds: float = 0.25, rate: int = 8000,
@@ -281,9 +131,7 @@ def decode_wav_features(ds, *, n_windows=8, concurrency=(1, 2), batch_size=128):
 
 # ------------------------------------------------------------------ PPM image
 # Binary PPM (P6) needs no external codec — a two-line header + raw RGB
-# bytes — so the IMAGE leg gets a REAL decode/resize path here too
-# (compressed formats like JPEG/PNG stay behind the declared stubs
-# above).  synthesize → decode → features / resize, all end-to-end.
+# bytes: synthesize → decode → features / resize, all end-to-end.
 
 
 def synth_ppm(doc_id: int, *, width: int = 32, height: int = 24) -> bytes:
@@ -410,9 +258,8 @@ def resize_ppm(ds, *, target_w=8, target_h=8, concurrency=(1, 2), batch_size=128
 # (qoiformat.org, public spec) — 14-byte header, byte-stream chunks
 # (RGB/RGBA literals, 64-slot hash index, 2-bit diffs, luma diffs,
 # runs), 8-byte end marker.  A full encoder + decoder in pure
-# Python/numpy turns the "compressed image" leg of the multimodal
-# pipeline from a declared stub into a working codec: synth → encode →
-# decode → features runs end-to-end with lossless round-trip goldens.
+# Python/numpy: synth → encode → decode → features runs end-to-end
+# with lossless round-trip goldens.
 # The per-image chunk loop is inherently sequential (each chunk
 # depends on the running pixel state), so it lives inside an
 # actor-pool stage over small batches — the Ray-side layout is

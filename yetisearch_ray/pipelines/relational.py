@@ -17,6 +17,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.bucketed import bucketed_apply
+
 
 def pricing_summary(sf_dir: str):
     """TPC-H Q1-ish pricing summary over lineitem (groupby-aggregate with
@@ -2671,12 +2673,11 @@ def q2_min_cost_supplier(sf_dir: str, *, round_to: int = 6,
 
     Distributed shape: one (part, supplier)-keyed aggregate over
     lineitem (two vectorized partial sums ride the groupby), then the
-    per-part argmin groups by a PART HASH BUCKET so ``map_groups``
-    makes one vectorized pandas call per bucket instead of one Python
-    call per part.  Unit price is rounded BEFORE the argmin on both
-    engines so float summation order cannot flip near-ties; ties break
-    on the smaller suppkey.  Columns (l_partkey, l_suppkey,
-    unit_price)."""
+    per-part argmin runs through ``bucketed_apply`` keyed on the part
+    (one vectorized pandas call per bucket of parts).  Unit price is
+    rounded BEFORE the argmin on both engines so float summation order
+    cannot flip near-ties; ties break on the smaller suppkey.  Columns
+    (l_partkey, l_suppkey, unit_price)."""
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -2709,7 +2710,7 @@ def q2_min_cost_supplier(sf_dir: str, *, round_to: int = 6,
           .aggregate(Sum("price", alias_name="price"),
                      Sum("qty", alias_name="qty")))
 
-    def bucket(t: pa.Table) -> pa.Table:
+    def unit_price(t: pa.Table) -> pa.Table:
         k = t["k"].to_numpy(zero_copy_only=False)
         part = k >> 32
         q = (t["price"].to_numpy(zero_copy_only=False)
@@ -2725,7 +2726,6 @@ def q2_min_cost_supplier(sf_dir: str, *, round_to: int = 6,
             "l_partkey": pa.array(part, pa.int64()),
             "l_suppkey": pa.array(k & 0xFFFFFFFF, pa.int64()),
             "unit_price": pa.array(unit, pa.float64()),
-            "_bkt": pa.array(part % buckets, pa.int64()),
         })
 
     def argmin(g: pd.DataFrame) -> pa.Table:
@@ -2738,9 +2738,8 @@ def q2_min_cost_supplier(sf_dir: str, *, round_to: int = 6,
             "unit_price": pa.array(g["unit_price"].to_numpy(np.float64)),
         })
 
-    out = (ps.map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(argmin, batch_format="pandas")
-           .to_pandas())
+    out = bucketed_apply(ps.map_batches(unit_price, batch_format="pyarrow"),
+                         "l_partkey", argmin, buckets=buckets).to_pandas()
     return (out.sort_values("l_partkey").reset_index(drop=True)
             [["l_partkey", "l_suppkey", "unit_price"]])
 

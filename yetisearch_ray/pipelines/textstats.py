@@ -16,6 +16,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..analysis.stopwords import STOPWORDS
+from ..stages.bucketed import bucketed_apply
 
 # fixed, ordered subsets so the SQL oracle can embed identical lists
 LANG_MARKERS: dict[str, tuple[str, ...]] = {
@@ -501,28 +502,17 @@ def tfidf_topk(ds, *, text_col="text", id_col="doc_id", k=5,
                                    preserve_index=False)
         return out.replace_schema_metadata(None)
 
-    # Final ranking groups by a BUCKET of docs (doc_id % nparts), not
-    # per doc: map_groups invokes its fn once per group, so grouping by
-    # doc would be one Python call per document (a per-doc loop at the
-    # reduce).  A hash bucket contains whole docs by construction, and
-    # each call ranks its whole bucket with one vectorized pandas
-    # groupby — N/nparts docs per call instead of 1.
-    def bucket(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        return t.append_column("_bkt", pa.array(ids % num_partitions,
-                                                pa.int64()))
-
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "tfidf", "term"],
                           ascending=[True, False, True])
         g = g.groupby(id_col, sort=False).head(k)
         g["term_rank"] = (g.groupby(id_col, sort=False).cumcount()
                           + 1).astype(np.int64)
-        return g.drop(columns=["_bkt"]).reset_index(drop=True)
+        return g.reset_index(drop=True)
 
-    out = (scored.map_batches(partial_topk, batch_format="pyarrow")
-           .map_batches(bucket, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(final_topk, batch_format="pandas"))
+    out = bucketed_apply(
+        scored.map_batches(partial_topk, batch_format="pyarrow"),
+        id_col, final_topk, buckets=num_partitions)
     if as_dataset:
         # streaming contract for the 100 TB path: arrowified, ordered,
         # column-pinned Dataset the caller can write_parquet
@@ -1226,25 +1216,9 @@ def doc_similarity_topk(ds, *, text_col="text", id_col="doc_id", k=3,
 
     postings = ds.map_batches(weigh, batch_format="pyarrow")
 
-    # Pair stage groups by a term BUCKET, not per term: map_groups is
-    # one Python call per group, so per-term grouping pays Ray slicing
-    # + a pandas frame per term.  Bucketing (hash of the term mod
-    # nbuckets) keeps every posting list whole and lets one call sweep
-    # many terms; inside, pairs expand segment-by-segment with numpy
-    # triu — Python iterates segments, never rows.
-    nbuckets = 64
-
-    def bucket_terms(t: pa.Table) -> pa.Table:
-        terms = t["term"]
-        if isinstance(terms, pa.ChunkedArray):
-            terms = terms.combine_chunks()
-        d = terms.dictionary_encode()
-        uniq = np.asarray(d.dictionary.to_pylist(), dtype=object)
-        hb = (pd.util.hash_array(uniq, hash_key="0123456789123456")
-              % nbuckets).astype(np.int64)
-        codes = d.indices.to_numpy(zero_copy_only=False)
-        return t.append_column("_bkt", pa.array(hb[codes], pa.int64()))
-
+    # Pair stage runs per term bucket, each posting list whole; inside,
+    # pairs expand segment-by-segment with numpy triu — Python iterates
+    # segments, never rows.
     def term_pairs(g: pd.DataFrame) -> pa.Table:
         # NB: returns an ARROW table — this stage feeds the pair-keyed
         # aggregate, and pandas-format blocks entering a Ray Data
@@ -1280,9 +1254,7 @@ def doc_similarity_topk(ds, *, text_col="text", id_col="doc_id", k=3,
         return pa.table({"pair": pa.array(np.concatenate(pair_out)),
                          "p": pa.array(np.concatenate(p_out))})
 
-    dots = (postings.map_batches(bucket_terms, batch_format="pyarrow")
-            .groupby("_bkt")
-            .map_groups(term_pairs, batch_format="pandas")
+    dots = (bucketed_apply(postings, "term", term_pairs)
             .groupby("pair").aggregate(Sum("p", alias_name="dot")))
 
     def mirror(t: pa.Table) -> pa.Table:
@@ -1296,25 +1268,16 @@ def doc_similarity_topk(ds, *, text_col="text", id_col="doc_id", k=3,
             "cosine": pa.concat_arrays([cos] * 2),
         })
 
-    # Per-doc top-k, bucketed for the same reason as the pair stage
-    # (one vectorized pandas groupby per bucket of docs, not one call
-    # per doc).
-    def bucket_docs(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False)
-        return t.append_column("_bkt", pa.array(a % nbuckets, pa.int64()))
-
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_a", "cosine", "doc_b"],
                           ascending=[True, False, True])
         g = g.groupby("doc_a", sort=False).head(k)
         g["rank"] = (g.groupby("doc_a", sort=False).cumcount()
                      + 1).astype(np.int64)
-        return g.drop(columns=["_bkt"]).reset_index(drop=True)
+        return g.reset_index(drop=True)
 
-    out = (dots.map_batches(mirror, batch_format="pyarrow")
-           .map_batches(bucket_docs, batch_format="pyarrow")
-           .groupby("_bkt").map_groups(topk, batch_format="pandas")
-           .to_pandas())
+    out = bucketed_apply(dots.map_batches(mirror, batch_format="pyarrow"),
+                         "doc_a", topk).to_pandas()
     if out.empty:
         return pd.DataFrame({"doc_a": pd.array([], dtype="int64"),
                              "doc_b": pd.array([], dtype="int64"),
@@ -1600,8 +1563,8 @@ def source_vocab_overlap(ds, *, text_col="text", src_col="source",
     re-publishing the same material.
 
     Distributed shape: distinct (source, term) pairs shuffle once
-    (vocabulary-bounded); terms then group by a HASH BUCKET and one
-    pandas self-merge per bucket emits every term's
+    (vocabulary-bounded); terms then go through ``bucketed_apply`` and
+    one pandas self-merge per bucket emits every term's
     <= C(|sources|, 2) source pairs at once, pre-counted per bucket
     (round 5 — was one Python call per term, untenable at web-corpus
     vocabulary sizes); one pair-keyed Sum and a broadcast of the
@@ -1624,20 +1587,11 @@ def source_vocab_overlap(ds, *, text_col="text", src_col="source",
         return tb.group_by(["source", "term"]).aggregate([])
 
     tok = (ds.map_batches(pairs, batch_format="pyarrow")
-           .groupby(["source", "term"]).aggregate(Count(alias_name="_n")))
+           .groupby(["source", "term"]).aggregate(Count(alias_name="_n"))
+           .select_columns(["source", "term"]))
     vocab = (tok.groupby("source").aggregate(Count(alias_name="nv"))
              .to_pandas())
     nv = dict(zip(vocab["source"], vocab["nv"].astype(int)))
-
-    buckets = 64
-
-    def bucket(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            np.asarray(t["term"].to_pylist(), dtype=object))
-        return pa.table({
-            "source": t["source"], "term": t["term"],
-            "_bkt": pa.array((h % buckets).astype(np.int64), pa.int64()),
-        })
 
     def combos(g: pd.DataFrame) -> pa.Table:
         d = g[["term", "source"]]
@@ -1651,8 +1605,7 @@ def source_vocab_overlap(ds, *, text_col="text", src_col="source",
             "n": pa.array(c["n"].to_numpy(np.int64), pa.int64()),
         })
 
-    sh = (tok.map_batches(bucket, batch_format="pyarrow")
-          .groupby("_bkt").map_groups(combos, batch_format="pandas")
+    sh = (bucketed_apply(tok, "term", combos)
           .groupby(["source_a", "source_b"])
           .aggregate(Sum("n", alias_name="n_shared")).to_pandas())
     sh["n_shared"] = sh["n_shared"].astype("int64")

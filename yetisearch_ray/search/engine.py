@@ -29,6 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -1314,6 +1315,10 @@ class SearchEngine:
                 mask &= np.full(doc_ids.size, have if op == "exists" else not have)
                 continue
             vals = self.index.meta_for(col, doc_ids)
+            # as in SQLite, a NULL (None or NaN) value makes !=, NOT IN,
+            # LIKE and NOT LIKE unknown, and the row is dropped
+            if op in ("!=", "not in", "like", "not like"):
+                mask &= ~pd.isna(vals)
             if op == "=":
                 mask &= vals == value
             elif op == "!=":
@@ -1326,10 +1331,12 @@ class SearchEngine:
                 mask &= vals <= value
             elif op == ">=":
                 mask &= vals >= value
-            elif op == "in":
-                mask &= np.isin(vals, list(value))
-            elif op == "not in":
-                mask &= ~np.isin(vals, list(value))
+            elif op in ("in", "not in"):
+                opts = list(value)
+                if vals.dtype == object:  # np.isin would cast a mixed
+                    opts = np.array(opts, dtype=object)  # list to str
+                hit = np.isin(vals, opts)
+                mask &= hit if op == "in" else ~hit
             elif op == "between":
                 lo, hi = value
                 mask &= (vals >= lo) & (vals <= hi)
