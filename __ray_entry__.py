@@ -67,8 +67,7 @@ def entry() -> Any:
     sf_dir = "/root/testdata/sf0.001"
     corpus = _code_corpus(sf_dir)
     idx_dir = "/tmp/ys_idx/code_sf0.001"
-    if not (Manifest.exists(idx_dir)
-            and Manifest.load(idx_dir).data.get("status") == "committed"):
+    if not Manifest.is_ready(idx_dir):
         cfg = IndexConfig(
             fields=[("path", "path"), ("content", "content")],
             language_column="lang",
@@ -267,15 +266,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return df
 
     def q_code_term_df(sf_dir):
-        import pyarrow.dataset as pads
-
-        from yetisearch_ray.pipelines.fts_documents import get_engine  # noqa: F401
-
-        eng = _code_engine(sf_dir)
-        post_dir = os.path.join(eng.index.index_dir, "postings")
-        t = pads.dataset(post_dir, format="parquet").to_table(
-            columns=["term", "field", "df"])
-        df = t.to_pandas()
+        t = _code_engine(sf_dir).index.dictionary_rows()
+        df = t.select(["term", "field", "df"]).to_pandas()
         # split hot terms store partial (disjoint) doc lists in several
         # partitions — sum to the true df per (term, field)
         df = df.groupby(["term", "field"], as_index=False)["df"].sum()
@@ -964,8 +956,7 @@ def _code_engine(sf_dir: str):
     eng = _CODE_ENGINES.get(idx_dir)
     if eng is not None:
         return eng
-    if not (Manifest.exists(idx_dir)
-            and Manifest.load(idx_dir).data.get("status") == "committed"):
+    if not Manifest.is_ready(idx_dir):
         cfg = IndexConfig(
             fields=[("path", "path"), ("content", "content")],
             language_column="lang",

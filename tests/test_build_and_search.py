@@ -119,10 +119,10 @@ class TestBuild:
             assert got == want, term
 
     def test_dictionary_bounded_merge_is_exact(self, built_index):
-        """The per-partition top-k merge in IndexReader.dictionary()
-        must equal the naive whole-dictionary scan — including
-        doc-salted SPLIT terms, whose df shards live in several
-        partitions and must be re-summed across them."""
+        """IndexReader.dictionary() must equal the naive scan of every
+        segment's term-dictionary file — including doc-salted SPLIT
+        terms, whose df shards live in several partitions and must be
+        re-summed across them."""
         import pandas as pd
         import pyarrow.dataset as pads
 
@@ -130,8 +130,9 @@ class TestBuild:
         assert idx.manifest.data.get("split_terms"), \
             "fixture no longer exercises the split-term path"
         got = idx.dictionary(limit=100, min_df=2)
-        t = pads.dataset(os.path.join(built_index, "postings"),
-                         format="parquet").to_table(columns=["term", "df"])
+        t = pads.dataset(sorted(glob.glob(os.path.join(
+            built_index, "postings", "*.parquet"))),
+            format="parquet").to_table(columns=["term", "df"])
         s = pd.Series(t["df"].to_numpy(zero_copy_only=False),
                       index=t["term"].to_pylist()).groupby(level=0).sum()
         s = s[s >= 2].sort_values(ascending=False, kind="stable")

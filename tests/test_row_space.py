@@ -6,9 +6,9 @@ doc-length array: a direct index when ids are dense, a checked
 recompute from the raw text on the non-dense layouts -- user-supplied
 sparse ids, appended generations, and an index after ``delete_docs`` +
 ``optimize_index`` -- and for the failure path: a posting id the reader
-has no doc-length row for (a reader opened before an append, reading
-the new generation's postings) raises ``KeyError`` instead of crediting
-a neighbouring doc.
+has no doc-length row for raises ``KeyError`` instead of crediting a
+neighbouring doc.  A reader opened before an append never meets such
+an id: it reads only the segments its own manifest commits.
 """
 
 import math
@@ -101,14 +101,24 @@ def _assert_matches_brute(index_dir, docs):
     return eng
 
 
-def _stale_reader_raises(index_dir, new_docs, tag):
-    """A reader whose doc-length rows predate an append must not score
-    the new generation's postings against them."""
-    stale = SearchEngine(open_index(index_dir), cache_ttl=0.0)
-    stale.search("alpha", limit=5)  # doc-length rows now resident
+def _stale_reader_keeps_its_snapshot(index_dir, new_docs, tag):
+    """A reader opened before an append answers from its own manifest's
+    snapshot: after the append it returns exactly the results it gave
+    before, whether its postings were resident or are fetched afresh."""
+    queries = QUERIES + [("zulu", {})]
+    warm = SearchEngine(open_index(index_dir), cache_ttl=0.0)
+    cold = SearchEngine(open_index(index_dir), cache_ttl=0.0)
+
+    def results(eng):
+        return [eng.search(q, limit=1000, normalize=False, **kw)
+                .select(["doc_id", "score"]).to_pylist() for q, kw in queries]
+
+    before = results(warm)  # postings and doc-length rows now resident
     _write(index_dir, new_docs, append=True, tag=tag)
-    with pytest.raises(KeyError, match="doc-meta row"):
-        stale.search("zulu", limit=5)
+    assert results(warm) == before
+    warm.index._cache.clear()
+    assert results(warm) == before
+    assert results(cold) == before  # first touch after the append
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -122,7 +132,7 @@ class TestRowSpace:
         # new ids fall between the old ones: a searchsorted lands on a
         # neighbour, which only the exact-hit check tells apart
         more = _docs(np.arange(40) * 7 + 5, seed=2, extra="zulu")
-        _stale_reader_raises(d, more, "sparse-more")
+        _stale_reader_keeps_its_snapshot(d, more, "sparse-more")
         _assert_matches_brute(d, {**docs, **more})
 
     def test_delete_and_optimize_match_brute_force(self, tmp_path):
@@ -144,7 +154,7 @@ class TestRowSpace:
         # deleted ids come back in a later generation: gaps inside the
         # stale reader's rows, and ids past its last row
         more = _docs(dead[:4] + list(range(260, 270)), seed=5, extra="zulu")
-        _stale_reader_raises(d, more, "opt-more")
+        _stale_reader_keeps_its_snapshot(d, more, "opt-more")
         _assert_matches_brute(d, {**docs, **more})
 
     def test_dense_reader_raises_on_ids_past_its_rows(self, tmp_path):
@@ -158,5 +168,5 @@ class TestRowSpace:
         with pytest.raises(KeyError):
             eng.index.rows_of(np.array([5, 80], np.uint64))
         more = _docs(range(80, 90), seed=7, extra="zulu")
-        _stale_reader_raises(d, more, "dense-more")
+        _stale_reader_keeps_its_snapshot(d, more, "dense-more")
         _assert_matches_brute(d, {**docs, **more})

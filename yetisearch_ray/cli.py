@@ -290,38 +290,69 @@ def cmd_optimize(args):
     print(json.dumps(optimize_index(args.index)))
 
 
-def cmd_verify(args):
-    """Integrity check: manifest committed, every partition file present
-    and decodable, stats consistent with doclens."""
-    import glob
-
+def _verify_segment(seg, problems: list) -> int:
+    """Decode every run of one segment, checking it against its
+    dictionary row; returns the runs checked."""
     import numpy as np
+
+    from .index.postings import decode_postings
+
+    keys = list(zip(seg.terms.tolist(), seg.fields.tolist()))
+    if keys != sorted(keys):
+        problems.append(f"{seg.where}: dictionary not sorted")
+    n = 0
+    for term, df, cf, (_, d, f, p) in seg.runs():
+        n += 1
+        try:
+            ids, tfs, pos = decode_postings(d, f, p)
+        except Exception as e:  # any decode failure is damage
+            problems.append(f"{seg.where}: term {term!r} undecodable: {e!r}")
+            continue
+        bad = [what for what, ok in (
+            ("df", ids.size == df),
+            ("cf", int(tfs.sum()) == cf),
+            ("doc-id order", ids.size < 2
+             or bool((np.diff(ids.astype(np.int64)) > 0).all())),
+            ("positions", pos is None or pos.size == cf),
+        ) if not ok]
+        if bad:
+            problems.append(f"{seg.where}: term {term!r} "
+                            f"{', '.join(bad)} mismatch")
+    return n
+
+
+def cmd_verify(args):
+    """Integrity check: manifest committed, every committed segment
+    present and readable, every run decodable with the df, cf and
+    strictly ascending doc ids its dictionary row claims, dictionaries
+    sorted, stats consistent with doclens.  Exits 1 on any problem."""
     import pyarrow.parquet as pq
 
     from .index.manifest import Manifest
-    from .index.postings import decode_postings
+    from .index.segment import Segment
 
     man = Manifest.load(args.index)
     problems = []
     if man.data.get("status") != "committed":
         problems.append(f"status={man.data.get('status')}")
-    seg_files = glob.glob(os.path.join(args.index, "postings", "*.parquet"))
-    n_terms = 0
-    for f in seg_files:
-        t = pq.read_table(f)
-        n_terms += t.num_rows
-        for i in range(min(t.num_rows, 5)):  # spot-decode
-            d, tf, p = decode_postings(t["docs"][i].as_py(), t["tfs"][i].as_py(),
-                                       t["pos"][i].as_py())
-            if d.size != t["df"][i].as_py():
-                problems.append(f"{f}: df mismatch row {i}")
-            if d.size > 1 and not (np.diff(d.astype(np.int64)) > 0).all():
-                problems.append(f"{f}: unsorted doc_ids row {i}")
+    try:
+        man.require_current_format()
+    except ValueError as e:
+        problems.append(str(e))
+    n_segments = n_terms = 0
+    for part, gens in sorted(man.segment_generations().items()):
+        for gen in sorted(gens):
+            try:
+                with Segment(args.index, part, gen) as seg:
+                    n_segments += 1
+                    n_terms += _verify_segment(seg, problems)
+            except (OSError, ValueError) as e:
+                problems.append(str(e))
     dl = pq.read_table(os.path.join(args.index, "doclens"), columns=["dl"])
     if dl.num_rows != man.stats.get("n_docs"):
         problems.append(
             f"doclens rows {dl.num_rows} != stats n_docs {man.stats.get('n_docs')}")
-    print(json.dumps({"ok": not problems, "segments": len(seg_files),
+    print(json.dumps({"ok": not problems, "segments": n_segments,
                       "term_rows": n_terms, "problems": problems}))
     sys.exit(0 if not problems else 1)
 

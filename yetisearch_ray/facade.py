@@ -360,6 +360,7 @@ class YetiSearchRay:
                 pq_cache.close()
             except Exception:
                 pass
+        eng.index.close()
 
     def close(self) -> None:
         """Flush persistent cache tiers and release cached engines

@@ -30,11 +30,11 @@ Scale design:
   on placement.  The segment builder additionally merges duplicate
   (term, doc) rows, so sub-partition salting can be layered on later
   without a format change.
-- Resume: each partition's segment file is written atomically
-  (tmp + rename) and recorded in the manifest with lineage + metrics;
-  a resumed build filters already-committed partitions out of the shuffle
-  *before* the exchange, so finished work costs nothing but the tokenize
-  scan.
+- Resume: each partition's segment is written atomically
+  (``segment.py``: tmp + rename, dictionary last) and recorded in the
+  manifest with lineage + metrics; a resumed build filters
+  already-committed partitions out of the shuffle *before* the
+  exchange, so finished work costs nothing but the tokenize scan.
 - Postings are sorted by doc_id and delta+varbyte encoded
   (``postings.py``), positions optional (needed for phrase/NEAR).
 """
@@ -54,6 +54,7 @@ import pyarrow.parquet as pq
 
 from .manifest import Manifest
 from .postings import encode_postings, encode_postings_bulk
+from .segment import write_segment
 from ..analysis.tokenizer import tokenize_batch, tokenize_batch_dict
 
 # pandas' siphash with this fixed key is deterministic across processes —
@@ -451,17 +452,14 @@ def _emit_postings_batch(cfg: IndexConfig, skip_parts: frozenset[int],
     return fn
 
 
-def _segment_path(index_dir: str, part: int, gen: int = 0) -> str:
-    return os.path.join(index_dir, "postings", f"part={part:05d}-g{gen:03d}.parquet")
-
-
 def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
-    """Per-partition group → sorted, encoded segment file + metrics row.
+    """Per-partition group → sorted, encoded segment + metrics row.
 
     Runs inside ``groupby("part").map_groups``: sorts the whole partition by
-    (term, field, doc_id), detects term runs, and varbyte-encodes each run.
-    The write is atomic (tmp + rename), making re-execution idempotent —
-    Ray task retries or build resumes can never leave a torn segment.
+    (term, field, doc_id), detects term runs, varbyte-encodes each run and
+    writes them with ``segment.write_segment``, whose atomic writes make
+    re-execution idempotent — Ray task retries or build resumes can never
+    leave a torn segment.
     """
 
     def fn(group: pa.Table) -> pa.Table:
@@ -518,8 +516,8 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
                              "n_docs": pa.array([n_docs], pa.int64()),
                              "sum_dl": pa.array([sum_dl], pa.int64())})
         kidx = np.flatnonzero(keep)
-        # rank terms lexicographically so the segment file is term-sorted
-        # (row-group min/max pruning on point lookups depends on this)
+        # rank terms lexicographically so the segment is term-sorted
+        # (its dictionary is binary-searched on point lookups)
         dict_order = np.argsort(dict_strings, kind="stable")
         rank = np.empty(dict_order.size, dtype=np.int64)
         rank[dict_order] = np.arange(dict_order.size)
@@ -579,24 +577,8 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
             out_cf[ri] = int(fsum.sum())
             out_docs[ri], out_tfs[ri], out_pos[ri] = db, tb, pb
 
-        seg = pa.table(
-            {
-                "term": pa.array(out_terms, pa.string()),
-                "field": pa.array(out_fields, pa.int8()),
-                "df": pa.array(out_df, pa.uint32()),
-                "cf": pa.array(out_cf, pa.uint64()),
-                "docs": pa.array(out_docs, pa.binary()),
-                "tfs": pa.array(out_tfs, pa.binary()),
-                "pos": pa.array(out_pos, pa.binary()),
-            }
-        )
-        path = _segment_path(index_dir, part, gen)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".seg-")
-        os.close(fd)
-        pq.write_table(seg, tmp, row_group_size=4096, compression="zstd")
-        os.replace(tmp, path)
-        nbytes = os.path.getsize(path)
+        nbytes = write_segment(index_dir, part, gen, out_terms, out_fields,
+                               out_df, out_cf, out_docs, out_tfs, out_pos)
         return pa.table(
             {
                 "part": pa.array([part], pa.uint32()),
@@ -648,6 +630,7 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
     gen = 0
     if (resume or append) and Manifest.exists(index_dir):
         man = Manifest.load(index_dir)
+        man.require_current_format()
         if man.data.get("config") != cfg.as_dict():
             raise ValueError("resume/append with different config; use a fresh index_dir")
         gens = [int(k.split(":")[0]) for k in man.data.get("partitions", {})]

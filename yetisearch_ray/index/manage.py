@@ -30,6 +30,7 @@ import pyarrow.parquet as pq
 
 from .manifest import Manifest
 from .postings import decode_postings, encode_postings
+from .segment import Segment, segment_paths, write_segment
 
 
 # ---------------------------------------------------------------- create
@@ -141,53 +142,6 @@ def index_stats(index_dir: str, by: str | None = None):
 # ---------------------------------------------------------------- optimize
 
 
-def _compact_segment(path: str, dead: np.ndarray) -> tuple[int, int]:
-    """Rewrite one posting segment without tombstoned docs.
-    Returns (terms_kept, rows_removed)."""
-    t = pq.read_table(path)
-    out = {c: [] for c in ("term", "field", "df", "cf", "docs", "tfs", "pos")}
-    removed = 0
-    for i in range(t.num_rows):
-        d, f, p = decode_postings(t["docs"][i].as_py(), t["tfs"][i].as_py(),
-                                  t["pos"][i].as_py())
-        keep = ~np.isin(d, dead)
-        if not keep.any():
-            removed += d.size
-            continue
-        removed += int((~keep).sum())
-        if p is not None:
-            tf64 = f.astype(np.int64)
-            starts = np.cumsum(tf64) - tf64
-            sel = np.concatenate([
-                np.arange(starts[j], starts[j] + tf64[j])
-                for j in np.flatnonzero(keep)
-            ]) if keep.any() else np.empty(0, np.int64)
-            p = p[sel]
-        d, f = d[keep], f[keep]
-        db, tb, pb = encode_postings(d, f, p)
-        out["term"].append(t["term"][i].as_py())
-        out["field"].append(t["field"][i].as_py())
-        out["df"].append(d.size)
-        out["cf"].append(int(f.sum()))
-        out["docs"].append(db)
-        out["tfs"].append(tb)
-        out["pos"].append(pb)
-    seg = pa.table({
-        "term": pa.array(out["term"], pa.string()),
-        "field": pa.array(out["field"], pa.int8()),
-        "df": pa.array(out["df"], pa.uint32()),
-        "cf": pa.array(out["cf"], pa.uint64()),
-        "docs": pa.array(out["docs"], pa.binary()),
-        "tfs": pa.array(out["tfs"], pa.binary()),
-        "pos": pa.array(out["pos"], pa.binary()),
-    })
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".opt-")
-    os.close(fd)
-    pq.write_table(seg, tmp, row_group_size=4096, compression="zstd")
-    os.replace(tmp, path)
-    return len(out["term"]), removed
-
-
 def _filter_parquet_dir(dir_path: str, id_col: str, dead: np.ndarray) -> int:
     """Drop tombstoned rows from every parquet file in a dir (atomic)."""
     n_dropped = 0
@@ -205,28 +159,22 @@ def _filter_parquet_dir(dir_path: str, id_col: str, dead: np.ndarray) -> int:
     return n_dropped
 
 
-def _merge_partition_files(files: list[str], dead: np.ndarray,
-                           out_path: str) -> int:
-    """K-way merge of one partition's generation files into a single
-    segment: group rows by (term, field), merge postings positions-
-    preserving, drop tombstoned docs, write atomically.  Returns terms
-    kept."""
+def _merge_partition(index_dir: str, part: int, gens: list[int],
+                     dead: np.ndarray) -> int:
+    """K-way merge of one partition's generations into a single
+    generation-0 segment: group runs by (term, field), merge postings
+    positions-preserving, drop tombstoned docs, write atomically, then
+    remove the merged-away generations.  Returns terms kept."""
     from .postings import merge_postings
 
     groups: dict[tuple, list] = {}
-    order: list[tuple] = []
-    for f in files:
-        t = pq.read_table(f)
-        for i in range(t.num_rows):
-            key = (t["term"][i].as_py(), t["field"][i].as_py())
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(decode_postings(
-                t["docs"][i].as_py(), t["tfs"][i].as_py(), t["pos"][i].as_py()))
-    order.sort()
+    for gen in gens:
+        with Segment(index_dir, part, gen) as seg:
+            for term, _, _, (fid, d, f, p) in seg.runs():
+                groups.setdefault((term, fid), []).append(
+                    decode_postings(d, f, p))
     out = {c: [] for c in ("term", "field", "df", "cf", "docs", "tfs", "pos")}
-    for term, fid in order:
+    for term, fid in sorted(groups):
         d, f, p = merge_postings(groups[(term, fid)])
         if dead.size:
             keep = ~np.isin(d, dead)
@@ -250,28 +198,18 @@ def _merge_partition_files(files: list[str], dead: np.ndarray,
         out["docs"].append(db)
         out["tfs"].append(tb)
         out["pos"].append(pb)
-    seg = pa.table({
-        "term": pa.array(out["term"], pa.string()),
-        "field": pa.array(out["field"], pa.int8()),
-        "df": pa.array(out["df"], pa.uint32()),
-        "cf": pa.array(out["cf"], pa.uint64()),
-        "docs": pa.array(out["docs"], pa.binary()),
-        "tfs": pa.array(out["tfs"], pa.binary()),
-        "pos": pa.array(out["pos"], pa.binary()),
-    })
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out_path), prefix=".opt-")
-    os.close(fd)
-    pq.write_table(seg, tmp, row_group_size=4096, compression="zstd")
-    os.replace(tmp, out_path)
-    for f in files:
-        if os.path.abspath(f) != os.path.abspath(out_path):
-            os.remove(f)
+    write_segment(index_dir, part, 0, out["term"], out["field"], out["df"],
+                  out["cf"], out["docs"], out["tfs"], out["pos"])
+    for gen in gens:
+        if gen != 0:
+            for f in segment_paths(index_dir, part, gen):  # dictionary first
+                os.remove(f)
     return len(out["term"])
 
 
 def optimize_index(index_dir: str) -> dict:
     """Segment compaction (the reference's optimize() analogue): merge all
-    segment generations per partition into one file, physically apply
+    segment generations per partition into one segment, physically apply
     tombstones, refresh stats.  One Ray task per partition — idempotent
     atomic writes, same resumability story as the build."""
     import collections
@@ -280,23 +218,17 @@ def optimize_index(index_dir: str) -> dict:
     import ray
 
     man = Manifest.load(index_dir)
+    man.require_current_format()
     dead = np.array(sorted(man.data.get("tombstones", [])), dtype=np.uint64)
-    seg_files = sorted(glob.glob(os.path.join(index_dir, "postings", "*.parquet")))
-    by_part: dict[int, list] = collections.defaultdict(list)
-    for f in seg_files:
-        m = _re.search(r"part=(\d+)", os.path.basename(f))
-        if m:
-            by_part[int(m.group(1))].append(f)
+    by_part = {p: sorted(gs) for p, gs in man.segment_generations().items()}
 
     @ray.remote
-    def compact(part: int, files: list, dead_arr: np.ndarray):
-        out_path = os.path.join(index_dir, "postings",
-                                f"part={part:05d}-g000.parquet")
-        return _merge_partition_files(files, dead_arr, out_path)
+    def compact(part: int, gens: list, dead_arr: np.ndarray):
+        return _merge_partition(index_dir, part, gens, dead_arr)
 
     dead_ref = ray.put(dead)
     results = ray.get([
-        compact.remote(p, fs, dead_ref) for p, fs in sorted(by_part.items())
+        compact.remote(p, gs, dead_ref) for p, gs in sorted(by_part.items())
     ])
     # merge doclens generations: concat, drop tombstoned + duplicate ids
     dl_dir = os.path.join(index_dir, "doclens")
@@ -339,11 +271,13 @@ def optimize_index(index_dir: str) -> dict:
     }
     # collapse partition bookkeeping to the merged generation, keeping
     # n_docs/sum_dl per partition so later appends re-derive stats right
+    terms_of = dict(zip(sorted(by_part), results))
     merged_parts = {}
-    for (p, _), terms in zip(sorted(by_part.items()), results):
+    for p in sorted(set(terms_of) | set(dl_per_part)):
         nd, sd = dl_per_part.get(p, (0, 0))
-        merged_parts[f"0:{p}"] = {"status": "committed", "terms": terms,
-                                  "merged": True, "n_docs": nd, "sum_dl": sd}
+        merged_parts[f"0:{p}"] = {"status": "committed",
+                                  "terms": terms_of.get(p, 0), "merged": True,
+                                  "n_docs": nd, "sum_dl": sd}
     man.data["partitions"] = merged_parts
     man.data["tombstones"] = []
     man.data["optimized_at"] = __import__("time").time()

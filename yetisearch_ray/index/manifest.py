@@ -18,6 +18,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 MANIFEST_NAME = "manifest.json"
+# 2: block-addressed posting segments (``segment.py``).  No reader of
+# format 1 is kept: ``manage.rebuild_index`` rebuilds an index from its
+# docstore in the current format.
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -36,6 +40,26 @@ class Manifest:
     def exists(cls, index_dir: str) -> bool:
         return os.path.exists(os.path.join(index_dir, MANIFEST_NAME))
 
+    @classmethod
+    def is_ready(cls, index_dir: str) -> bool:
+        """A committed index in the current format (build-once caches
+        rebuild anything else)."""
+        if not cls.exists(index_dir):
+            return False
+        d = cls.load(index_dir).data
+        return (d.get("status") == "committed"
+                and d.get("format_version") == FORMAT_VERSION)
+
+    def require_current_format(self) -> None:
+        """Raise unless this index's segments are in the current format."""
+        v = self.data.get("format_version")
+        if v != FORMAT_VERSION:
+            d = os.path.dirname(self.path)
+            raise ValueError(
+                f"index {d} has posting format {v}, this version reads "
+                f"format {FORMAT_VERSION}: rebuild it from its docstore "
+                f"with yetisearch_ray.index.manage.rebuild_index({d!r})")
+
     def save(self) -> None:
         """Atomic write (tmp + rename): readers never see a torn manifest."""
         d = os.path.dirname(self.path)
@@ -51,7 +75,7 @@ class Manifest:
         return cls(
             path=os.path.join(index_dir, MANIFEST_NAME),
             data={
-                "format_version": 1,
+                "format_version": FORMAT_VERSION,
                 "created_at": time.time(),
                 "config": config,
                 "input_fingerprint": input_fingerprint,
@@ -81,6 +105,20 @@ class Manifest:
         for k, v in self.data.get("partitions", {}).items():
             if v.get("status") == "committed":
                 out.add(int(k.split(":")[-1]))
+        return out
+
+    def segment_generations(self, max_generation: int | None = None
+                            ) -> dict[int, set[int]]:
+        """partition -> generations whose posting segment the manifest
+        commits (committed with terms), optionally up to
+        ``max_generation``: the segment snapshot of a reader."""
+        out: dict[int, set[int]] = {}
+        for k, v in self.data.get("partitions", {}).items():
+            g, _, part = k.rpartition(":")
+            gen = int(g or 0)
+            if (v.get("status") == "committed" and v.get("terms", 0) > 0
+                    and (max_generation is None or gen <= max_generation)):
+                out.setdefault(int(part), set()).add(gen)
         return out
 
     def generations(self) -> set[int]:

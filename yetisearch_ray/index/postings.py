@@ -2,10 +2,12 @@
 
 FTS5 keeps its postings in delta/varint-compressed doclists inside SQLite
 b-tree pages (public FTS5 file-format docs); we use the same classic
-encoding over Arrow ``binary`` cells: little-endian base-128 varints with
-the high bit as continuation, doc_ids delta-encoded (first absolute), term
-frequencies raw varints, and positions as per-document delta-encoded
-ordinal lists whose group sizes are the tfs.
+encoding: little-endian base-128 varints with the high bit as
+continuation, doc_ids delta-encoded (first absolute), term frequencies
+raw varints, and positions as per-document delta-encoded ordinal lists
+whose group sizes are the tfs.  Each (term, field) run is three blobs
+(docs, tfs, pos); ``segment.py`` stores them in compressed blocks behind
+a sorted term dictionary, the counterpart of FTS5's b-tree pages.
 
 Encode and decode are numpy-vectorized — no per-integer Python loop — so
 the posting-build `map_groups` stage and the query actor's decode path

@@ -71,7 +71,10 @@ def tumbling_window(sf_dir: str, *, width_minutes: int = 60):
 
     def derive(t: pa.Table) -> pa.Table:
         w = pc.floor_temporal(t["ts"], multiple=width_minutes, unit="minute")
-        return t.append_column("window_start", w)
+        # metadata-clean blocks keep Ray's schema dedup working in the
+        # shuffle (see dedup._strip_meta)
+        return t.replace_schema_metadata(None).append_column(
+            "window_start", w)
 
     out = (
         ds.map_batches(derive, batch_format="pyarrow")
@@ -1205,7 +1208,10 @@ def user_activity_histogram(sf_dir: str, *, interval: int = 10):
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
+    from .dedup import _strip_meta
+
+    ds = _strip_meta(rd.read_parquet(f"{sf_dir}/events.parquet",
+                                     columns=["user_id"]))
     per_user = ds.groupby("user_id").aggregate(Count(alias_name="n"))
 
     def bucketize(t: pa.Table) -> pa.Table:
@@ -1281,8 +1287,10 @@ def user_type_entropy(sf_dir: str, *, k: int = 50, round_to: int = 6):
     import ray.data as rd
     from ray.data.aggregate import Count
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
+    from .dedup import _strip_meta
+
+    ds = _strip_meta(rd.read_parquet(f"{sf_dir}/events.parquet",
+                                     columns=["user_id", "event_type"]))
     counts = (ds.groupby(["user_id", "event_type"])
               .aggregate(Count(alias_name="n"))
               .select_columns(["user_id", "n"]))

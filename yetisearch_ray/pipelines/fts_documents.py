@@ -34,7 +34,7 @@ def get_engine(sf_dir: str) -> SearchEngine:
     eng = _ENGINES.get(idx_dir)
     if eng is not None:
         return eng
-    if not (Manifest.exists(idx_dir) and Manifest.load(idx_dir).data.get("status") == "committed"):
+    if not Manifest.is_ready(idx_dir):
         import ray.data as rd
 
         ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
@@ -414,19 +414,10 @@ def autocomplete_topk(sf_dir: str, prefix: str = "s",
     generations and hot-term splits).
 
     Serving shape mirrors ``IndexReader.expand_prefix`` (reference
-    prefix queries, SURVEY §2.10): a range-filtered scan of the
-    partitioned ``(term, df)`` dictionary columns — at cluster scale a
-    global sorted dictionary serves this; the partitioned scan is the
-    same contract.  Oracled by ``oracles.autocomplete_sql``.
+    prefix queries, SURVEY §2.10): a range of every segment's sorted
+    term dictionary.  Oracled by ``oracles.autocomplete_sql``.
     """
-    import pyarrow.dataset as pads
-
-    eng = get_engine(sf_dir)
-    post_dir = os.path.join(eng.index.index_dir, "postings")
-    dataset = pads.dataset(post_dir, format="parquet")
-    flt = ((pads.field("term") >= prefix)
-           & (pads.field("term") < prefix + "\uffff"))
-    t = dataset.to_table(columns=["term", "df"], filter=flt)
+    t = get_engine(sf_dir).index.dictionary_rows(prefix).select(["term", "df"])
     df = t.to_pandas().groupby("term", as_index=False)["df"].sum()
     df["df"] = df["df"].astype("int64")
     return (df.sort_values(["df", "term"], ascending=[False, True],
@@ -512,9 +503,7 @@ def doc_sharded_topk(sf_dir: str, term: str = "merge", k: int = 20,
         from ..index.manifest import Manifest
 
         dirs = [os.path.join(base, f"shard={s}") for s in range(n_shards)]
-        if not all(Manifest.exists(d) and
-                   Manifest.load(d).data.get("status") == "committed"
-                   for d in dirs):
+        if not all(Manifest.is_ready(d) for d in dirs):
             ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
 
             def cast_ids(t: pa.Table) -> pa.Table:
@@ -733,13 +722,8 @@ def rare_terms(sf_dir: str, *, max_df: int = 100, k: int = 50,
     column-pruned metadata scan (hot-term splits store disjoint doc
     lists — summing partials restores true df), no posting decode and
     no corpus re-scan.  Columns (term, df), ordered (df, term)."""
-    import pyarrow.dataset as pads
-
-    eng = get_engine(sf_dir)
-    post_dir = os.path.join(eng.index.index_dir, "postings")
-    t = pads.dataset(post_dir, format="parquet").to_table(
-        columns=["term", "field", "df"])
-    df = t.to_pandas()
+    t = get_engine(sf_dir).index.dictionary_rows()
+    df = t.select(["term", "field", "df"]).to_pandas()
     df = df[df["field"] == field]
     df = df.groupby("term", as_index=False)["df"].sum()
     df = df[df["df"] <= max_df]
@@ -769,8 +753,7 @@ def time_travel_topk(sf_dir: str, terms=("vector", "stream"),
     import ray.data as rd
 
     idx_dir = _two_gen_index_dir(sf_dir)
-    if not (Manifest.exists(idx_dir)
-            and Manifest.load(idx_dir).data.get("status") == "committed"
+    if not (Manifest.is_ready(idx_dir)
             and 1 in Manifest.load(idx_dir).generations()):
         ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
         thr = (int(ds.max("doc_id")) + 1) // 2
@@ -866,13 +849,7 @@ def terms_enum(sf_dir: str, *, prefix: str = "s", k: int = 20
     the tokf-distinct oracle.  Columns (term, df)."""
     eng = get_engine(sf_dir)
     terms = eng.index.expand_prefix(prefix, max_terms=k)
-    import pyarrow.dataset as pads
-
-    post_dir = os.path.join(eng.index.index_dir, "postings")
-    dset = pads.dataset(post_dir, format="parquet")
-    flt = (pads.field("term") >= prefix) & \
-          (pads.field("term") < prefix + "￿")
-    t = dset.to_table(columns=["term", "df"], filter=flt).to_pandas()
+    t = eng.index.dictionary_rows(prefix).select(["term", "df"]).to_pandas()
     t = t.groupby("term", as_index=False)["df"].sum()
     t = t[t["term"].isin(terms)]
     t["df"] = t["df"].astype("int64")

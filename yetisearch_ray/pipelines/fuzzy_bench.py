@@ -219,12 +219,13 @@ def get_movie_engine(work_dir: str = "/tmp/ys_movies"):
     if eng is not None:
         return eng
     from ..index.build import IndexConfig, build_index
+    from ..index.manifest import Manifest
     from ..search.engine import SearchEngine, open_index
     from ..sources.parquet_source import read_parquet_with_doc_ids
 
     corpus = generate_movie_corpus(os.path.join(work_dir, "corpus"))
     idx_dir = os.path.join(work_dir, "idx")
-    if not os.path.exists(os.path.join(idx_dir, "manifest.json")):
+    if not Manifest.is_ready(idx_dir):
         ds = read_parquet_with_doc_ids(corpus)
         cfg = IndexConfig(fields=[("title", "title"),
                                   ("content", "content")],

@@ -32,7 +32,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from .bm25 import K1, B, idf as _idf
@@ -41,6 +40,7 @@ from ..analysis.analyzer import StandardAnalyzer
 from ..index.build import term_partition
 from ..index.manifest import Manifest
 from ..index.postings import decode_postings, merge_postings
+from ..index.segment import Record, SegmentSet
 
 MAX_RESULTS = 1000  # reference clamp (src/Search/SearchEngine.php:661)
 
@@ -124,6 +124,7 @@ class IndexReader:
                  max_generation: int | None = None):
         self.index_dir = index_dir
         self.manifest = Manifest.load(index_dir)
+        self.manifest.require_current_format()
         # generation-pinned (time-travel / snapshot) reads: only segment
         # files of generation <= max_generation are visible, and corpus
         # stats (N, avgdl) are reconstructed from the manifest's
@@ -174,16 +175,12 @@ class IndexReader:
             "maxgen": max_generation,
         }, sort_keys=True, default=str)
         self.mutation_version = _hashlib.md5(state.encode()).hexdigest()[:16]
-        # partition -> generations whose segment file the manifest
-        # promises (committed with terms), so a missing file is an error
-        # rather than an absent term
-        self._segment_gens: dict[int, set[int]] = {}
-        for k, v in (md.get("partitions") or {}).items():
-            g, _, part = k.rpartition(":")
-            gen = int(g or 0)
-            if (v.get("status") == "committed" and v.get("terms", 0) > 0
-                    and (max_generation is None or gen <= max_generation)):
-                self._segment_gens.setdefault(int(part), set()).add(gen)
+        # the segments this reader's own manifest commits: generations
+        # appended after it opened are never read (snapshot isolation),
+        # and a committed segment that is gone is an error naming its
+        # partition rather than an absent term
+        self._segments = SegmentSet(
+            index_dir, self.manifest.segment_generations(max_generation))
         self._cache: OrderedDict[str, dict[int, Posting]] = OrderedDict()
         self._cache_max = cache_terms
         self._docs_dir = os.path.join(index_dir, "docs")
@@ -310,179 +307,83 @@ class IndexReader:
             return [int(p)]
         return [int(term_partition([term], self.num_partitions)[0])]
 
-    def _read_term_rows(self, term: str) -> pa.Table | None:
-        """Rows for one term across all its partitions and ALL segment
-        generations (plus the legacy single-file layout).  Raises
-        ``FileNotFoundError`` naming the partition when a segment the
-        manifest lists as committed is missing."""
-        import glob as _glob
-
-        files: list[str] = []
-        for part in self._term_parts(term):
-            pattern = os.path.join(self.index_dir, "postings",
-                                   f"part={part:05d}*.parquet")
-            found = sorted(_glob.glob(pattern))
-            if self.max_generation is not None:
-                found = [f for f in found
-                         if self._file_gen(f) <= self.max_generation]
-            missing = (self._segment_gens.get(part, set())
-                       - {self._file_gen(f) for f in found})
-            if missing:
-                raise FileNotFoundError(
-                    f"posting segment of partition {part:05d} missing "
-                    f"(generation {', '.join(map(str, sorted(missing)))} "
-                    f"is committed in the manifest of {self.index_dir})")
-            files.extend(found)
-        if not files:
-            return None
-        tabs = [pq.read_table(f, filters=[("term", "==", term)]) for f in files]
-        tabs = [t for t in tabs if t.num_rows]
-        if not tabs:
-            return None
-        return pa.concat_tables(tabs)
+    def _term_records(self, term: str) -> list[Record]:
+        """Encoded runs of one term across its partitions and every
+        committed generation of each (``segment.py``)."""
+        return self._segments.records(term, self._term_parts(term))
 
     def postings(self, term: str) -> dict[int, Posting]:
-        """field_id -> Posting for one term (LRU-cached); rows from
+        """field_id -> Posting for one term (LRU-cached); runs from
         multiple segment generations are merged positions-preserving."""
         hit = self._cache.get(term)
         if hit is not None:
             self._cache.move_to_end(term)
             return hit
-        t = self._read_term_rows(term)
-        out: dict[int, Posting] = {}
-        if t is not None and t.num_rows:
-            by_field: dict[int, list] = {}
-            for i in range(t.num_rows):
-                fid = t["field"][i].as_py()
-                d, f, p = decode_postings(
-                    t["docs"][i].as_py(), t["tfs"][i].as_py(), t["pos"][i].as_py()
-                )
-                by_field.setdefault(fid, []).append((d, f, p))
-            for fid, parts in by_field.items():
-                d, f, p = merge_postings(parts)
-                out[fid] = Posting(d, f, p)
+        by_field: dict[int, list] = {}
+        for fid, d, f, p in self._term_records(term):
+            by_field.setdefault(fid, []).append(decode_postings(d, f, p))
+        out = {fid: Posting(*merge_postings(parts))
+               for fid, parts in by_field.items()}
         self._cache[term] = out
         if len(self._cache) > self._cache_max:
             self._cache.popitem(last=False)
         return out
 
-    @staticmethod
-    def _file_gen(path: str) -> int:
-        """Segment generation from the ``part=NNNNN-gGGG.parquet`` name
-        (legacy un-tagged files are generation 0)."""
-        m = re.search(r"-g(\d+)\.parquet$", path)
-        return int(m.group(1)) if m else 0
+    def close(self) -> None:
+        """Release the open segment files (the reader stays usable:
+        a later fetch reopens what it needs)."""
+        self._segments.close()
 
-    def _dict_dataset(self):
-        """pyarrow dataset over the postings dir, generation-filtered
-        when this reader is generation-pinned."""
-        post_dir = os.path.join(self.index_dir, "postings")
-        if not os.path.isdir(post_dir):
-            return None
-        if self.max_generation is None:
-            return pads.dataset(post_dir, format="parquet")
-        import glob as _glob
+    def dictionary_rows(self, prefix: str = "") -> pa.Table:
+        """``(term, field, df, cf)`` rows of every committed segment's
+        term dictionary whose term starts with ``prefix`` — one row per
+        (segment, term, field); a term's df is the sum of its rows."""
+        return self._segments.prefix_rows(prefix)
 
-        files = [f for f in sorted(_glob.glob(
-            os.path.join(post_dir, "*.parquet")))
-            if self._file_gen(f) <= self.max_generation]
-        if not files:
-            return None
-        return pads.dataset(files, format="parquet")
-
-    def expand_prefix(self, prefix: str, max_terms: int = 128) -> list[str]:
-        """Terms starting with prefix — scans every partition's dictionary
-        columns (term,df) with a range filter.  (At scale this is served by
-        a global sorted dictionary; partitioned scan is the test-scale
-        equivalent.)"""
-        lo, hi = prefix, prefix + "￿"
+    def _ranked_terms(self, t: pa.Table, max_terms: int,
+                      keep=None) -> list[str]:
+        """Terms of dictionary rows ``t`` ranked df DESC, term ASC."""
         found: dict[str, int] = {}
-        dataset = self._dict_dataset()
-        if dataset is None:
-            return []
-        flt = (pads.field("term") >= lo) & (pads.field("term") < hi)
-        t = dataset.to_table(columns=["term", "df"], filter=flt)
         for term, df in zip(t["term"].to_pylist(), t["df"].to_pylist()):
-            found[term] = found.get(term, 0) + df
+            if keep is None or keep(term):
+                found[term] = found.get(term, 0) + df
         ranked = sorted(found.items(), key=lambda kv: (-kv[1], kv[0]))
         return [term for term, _ in ranked[:max_terms]]
+
+    def expand_prefix(self, prefix: str, max_terms: int = 128) -> list[str]:
+        """Terms starting with prefix, ranked df DESC, term ASC — a range
+        of every loaded sorted term dictionary."""
+        return self._ranked_terms(self.dictionary_rows(prefix), max_terms)
 
     def expand_wildcard(self, pattern: str, max_terms: int = 128) -> list[str]:
         """Terms matching a glob pattern (``*`` = any run, ``?`` = one
         char), ranked df DESC, term ASC — the prefix-expansion contract
         generalized to mid/leading wildcards.
 
-        The literal prefix before the first wildcard narrows the
-        dictionary scan to a term range (same pushdown as
-        ``expand_prefix``); a leading wildcard forces a full dictionary
-        scan — supported, but the caller should know it touches every
-        partition's dictionary columns.
+        The literal prefix before the first wildcard narrows the scan to
+        a range of each sorted dictionary (as ``expand_prefix``); a
+        leading wildcard scans every dictionary in full.
         """
-        import re as _re
-
         i = min([j for j, c in enumerate(pattern) if c in "*?"],
                 default=len(pattern))
-        lit = pattern[:i]
         if i == len(pattern):  # no wildcard — degenerate exact term
             return [pattern]
-        rx = _re.compile(
+        rx = re.compile(
             "^" + "".join(".*" if c == "*" else "." if c == "?"
-                          else _re.escape(c) for c in pattern) + "$")
-        dataset = self._dict_dataset()
-        if dataset is None:
-            return []
-        flt = None
-        if lit:
-            flt = ((pads.field("term") >= lit)
-                   & (pads.field("term") < lit + "￿"))
-        t = dataset.to_table(columns=["term", "df"], filter=flt)
-        found: dict[str, int] = {}
-        for term, df in zip(t["term"].to_pylist(), t["df"].to_pylist()):
-            if rx.match(term):
-                found[term] = found.get(term, 0) + df
-        ranked = sorted(found.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [term for term, _ in ranked[:max_terms]]
+                          else re.escape(c) for c in pattern) + "$")
+        return self._ranked_terms(self.dictionary_rows(pattern[:i]),
+                                  max_terms, keep=rx.match)
 
     def dictionary(self, limit: int = 20000, min_df: int = 2) -> dict[str, int]:
-        """Top-``limit`` terms by summed df — the fuzzy candidate source
-        (reference ``max_indexed_terms``/``min_term_frequency``).
-
-        Memory-bounded: a term's rows all live in ONE partition (hash
-        placement; manifest-listed split terms are the exception), so
-        the exact global top-k is the merge of per-partition top-k
-        lists.  Peak residency is O(largest partition dictionary +
-        P x limit) — never the corpus-wide dictionary, which at cluster
-        scale is billions of terms."""
-        import glob as _glob
-        import pandas as pd
-
-        post_dir = os.path.join(self.index_dir, "postings")
-        if not os.path.isdir(post_dir):
-            return {}
-        by_part: dict[str, list[str]] = {}
-        for f in sorted(_glob.glob(os.path.join(post_dir, "part=*.parquet"))):
-            key = os.path.basename(f).split(".")[0].split("-")[0]  # part=NNNNN
-            by_part.setdefault(key, []).append(f)
-        split_terms = set(self.manifest.data.get("split_terms") or {})
-        cands: list[pd.Series] = []
-        for files in by_part.values():
-            t = pa.concat_tables(
-                pq.read_table(f, columns=["term", "df"]) for f in files)
-            s = pd.Series(t["df"].to_numpy(zero_copy_only=False),
-                          index=t["term"].to_pylist()).groupby(level=0).sum()
-            top = s.sort_values(ascending=False, kind="stable").head(limit)
-            if split_terms:  # a split term's local share must always
-                # reach the merge — its global df is summed across parts
-                extra = s.index.intersection(split_terms).difference(top.index)
-                if len(extra):
-                    top = pd.concat([top, s[extra]])
-            cands.append(top)
-        if not cands:
-            return {}
-        merged = pd.concat(cands).groupby(level=0).sum()
-        merged = merged[merged >= min_df]
-        out = merged.sort_values(ascending=False, kind="stable").head(limit)
-        return dict(out)
+        """Top-``limit`` terms by summed df (at least ``min_df``) — the
+        fuzzy candidate source (reference ``max_indexed_terms`` /
+        ``min_term_frequency``).  Exact: split terms' per-partition
+        shares and every generation's rows are summed before ranking."""
+        t = self.dictionary_rows()
+        s = pd.Series(t["df"].to_numpy(zero_copy_only=False),
+                      index=t["term"].to_pylist()).groupby(level=0).sum()
+        s = s[s >= min_df]
+        return dict(s.sort_values(ascending=False, kind="stable").head(limit))
 
     # ---------------- docstore gather ---------------------------------
     def docs(self, doc_ids, columns=None) -> pa.Table:

@@ -4,8 +4,8 @@ The index layout is already term-hash-partitioned (``part=NNNNN``
 segment files + manifest hot/split placement), so the serving shard unit
 is a SUBSET OF TERM PARTITIONS.  ``ShardedIndexReader`` owns a pool of
 ``TermShardActor``s (partition p -> shard p % N), scatters each term
-read to the shard(s) owning its partition(s) and gathers/concats the raw
-posting rows — byte-identical input to what the single-process reader
+read to the shard(s) owning its partition(s) and gathers the raw
+encoded runs — byte-identical input to what the single-process reader
 gets from disk, so scoring is EXACTLY the single-reader result (asserted
 in tests/test_sharded.py).
 
@@ -22,53 +22,35 @@ SURVEY.md §2.3 calls for.
 
 from __future__ import annotations
 
-import glob
-import os
-
-import pyarrow as pa
-import pyarrow.parquet as pq
-
 import ray
 
+from ..index.segment import Record, SegmentSet
 from .engine import IndexReader, SearchEngine
 
 
 @ray.remote(max_restarts=2)
 class TermShardActor:
-    """Owns the segment files of a subset of term partitions.
+    """Serves the posting segments of a subset of term partitions.
 
-    Setup (file listing) happens once in ``__init__``; each
-    ``term_rows`` call reads only the owned partitions' segment files
-    with a term filter (parquet row-group predicate pushdown)."""
+    It is handed the coordinator's ``part -> generations`` snapshot for
+    its partitions, so it reads exactly the segments the coordinator's
+    manifest commits; each ``term_records`` call is a dictionary lookup
+    and one block read per run (``segment.SegmentSet``)."""
 
-    def __init__(self, index_dir: str, parts: list[int]):
-        self.index_dir = index_dir
-        self.parts = sorted(int(p) for p in parts)
-        self._files = {
-            p: sorted(glob.glob(os.path.join(
-                index_dir, "postings", f"part={p:05d}*.parquet")))
-            for p in self.parts
-        }
+    def __init__(self, index_dir: str, part_gens: dict[int, list[int]]):
+        self._segments = SegmentSet(index_dir, part_gens)
 
     def owned(self) -> list[int]:
-        return self.parts
+        return sorted(self._segments.part_gens)
 
-    def term_rows(self, term: str, parts: list[int]) -> pa.Table | None:
-        tabs = []
-        for p in parts:
-            for f in self._files.get(int(p), ()):
-                t = pq.read_table(f, filters=[("term", "==", term)])
-                if t.num_rows:
-                    tabs.append(t)
-        if not tabs:
-            return None
-        return pa.concat_tables(tabs)
+    def term_records(self, term: str, parts: list[int]) -> list[Record]:
+        return self._segments.records(term, parts)
 
 
 class ShardedIndexReader(IndexReader):
     """IndexReader whose posting reads scatter/gather over shard actors.
 
-    Everything downstream of ``_read_term_rows`` (decode, merge, BM25,
+    Everything downstream of ``_term_records`` (decode, merge, BM25,
     filters, facets) is inherited unchanged, which is what makes the
     sharded results identical to the local reader's."""
 
@@ -76,25 +58,22 @@ class ShardedIndexReader(IndexReader):
                  cache_terms: int = 4096):
         super().__init__(index_dir, cache_terms)
         self.n_shards = max(1, min(int(n_shards), self.num_partitions))
-        assign: dict[int, list[int]] = {s: [] for s in range(self.n_shards)}
+        assign: dict[int, dict[int, list[int]]] = {
+            s: {} for s in range(self.n_shards)}
         for p in range(self.num_partitions):
-            assign[p % self.n_shards].append(p)
+            assign[p % self.n_shards][p] = self._segments.part_gens.get(p, [])
         self._shards = [
             TermShardActor.remote(index_dir, assign[s])
             for s in range(self.n_shards)
         ]
 
-    def _read_term_rows(self, term: str) -> pa.Table | None:
-        parts = self._term_parts(term)
+    def _term_records(self, term: str) -> list[Record]:
         by_shard: dict[int, list[int]] = {}
-        for p in parts:
+        for p in self._term_parts(term):
             by_shard.setdefault(p % self.n_shards, []).append(p)
-        futs = [self._shards[s].term_rows.remote(term, ps)
+        futs = [self._shards[s].term_records.remote(term, ps)
                 for s, ps in sorted(by_shard.items())]
-        tabs = [t for t in ray.get(futs) if t is not None]
-        if not tabs:
-            return None
-        return pa.concat_tables(tabs)
+        return [rec for recs in ray.get(futs) for rec in recs]
 
     def shutdown(self):
         for a in self._shards:
