@@ -81,17 +81,16 @@ class TestAdviceRegressions:
     def test_rebuild_keeps_sha256(self, built_index, tmp_path):
         import shutil
 
+        from yetisearch_ray.index.docstore import DocStore
         from yetisearch_ray.index.manage import rebuild_index
 
         idx2 = str(tmp_path / "idx_rebuild")
         shutil.copytree(built_index, idx2)
-        before = pq.read_table(os.path.join(idx2, "docs"),
-                               columns=["doc_id", "sha256"]).sort_by("doc_id")
+        before = DocStore.committed(idx2).scan(["doc_id", "sha256"])
         rebuild_index(idx2)
         man = Manifest.load(idx2)
         assert man.config.get("content_hash_column") == "content"
-        after = pq.read_table(os.path.join(idx2, "docs"),
-                              columns=["doc_id", "sha256"]).sort_by("doc_id")
+        after = DocStore.committed(idx2).scan(["doc_id", "sha256"])
         assert before.equals(after)
 
 

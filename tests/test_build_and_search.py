@@ -91,7 +91,9 @@ class TestBuild:
     def test_docstore_sha256_invariant(self, built_index, tiny_corpus_dir):
         import hashlib
 
-        docs = pq.read_table(os.path.join(built_index, "docs"))
+        from yetisearch_ray.index.docstore import DocStore
+
+        docs = DocStore.committed(built_index).scan()
         src = pq.read_table(tiny_corpus_dir)
         d = docs.to_pandas().sort_values("doc_id")
         # doc_id order == (repo, path, commit) order of the source

@@ -1,36 +1,38 @@
-"""Docstore gather: ``IndexReader.docs`` reads only the row groups whose
-footer doc-id range covers a requested id.
+"""Docstore gather: ``IndexReader.docs`` decodes only the docstore
+batches whose id range holds a requested id (``index/docstore.py``).
 
-Checked against a brute-force read of the whole docstore on every layout
-the writers produce -- a fresh build, appended generations, a delete +
-optimize rewrite (zstd) -- and on row groups of a few rows, one file
-written without statistics.  ``search(with_docs=True, highlight=True)``
-is checked against the pandas join it replaced."""
+Checked against a brute-force read of the whole docstore
+(``DocStore.scan``) on every layout the writers produce -- a fresh
+build, appended generations, an append whose ids fall between the
+base's, a delete + optimize rewrite -- and on chunks of 1-row batches.  ``search(with_docs=True, highlight=True)`` is
+checked against the pandas join it replaced."""
 
-import os
 import shutil
+from unittest import mock
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from yetisearch_ray.index import docstore
+from yetisearch_ray.index.docstore import DocStore
 from yetisearch_ray.search.engine import (SearchEngine, compile_query,
                                           make_snippet, open_index)
 
 STORED = ["path", "lang", "content"]
 COLUMNS = ["doc_id"] + STORED
 N_DOCS = 200  # ids are 3*i, so every range has absent ids inside it
-LAYOUTS = ["fresh", "appended", "optimized", "small_groups"]
+LAYOUTS = ["fresh", "appended", "optimized", "one_row_batches",
+           "interleaved"]
 # the benchmark's docs probes (perfbench/workloads.py DOCS_PROBE)
 DOCS_PROBE = [("parse buffer", {}), ("retry backoff", {"mode": "and"}),
               ('"exponential backoff"', {}), ("deadline", {}),
               ("hash table index", {})]
 
 
-def _rows(lo, hi):
-    return [{"doc_id": 3 * i, "path": f"src/mod{i % 9}/f{i}.py",
+def _rows(lo, hi, offset=0):
+    return [{"doc_id": 3 * i + offset, "path": f"src/mod{i % 9}/f{i}.py",
              "lang": ("python", "rust", "go")[i % 3],
              "content": ("parse buffer "
                          + ("retry backoff" if i % 4 else "deadline")
@@ -58,23 +60,24 @@ def layouts(ray_session, tmp_path_factory):
     shutil.copytree(out["appended"], out["optimized"])
     delete_docs(out["optimized"], [3 * i for i in range(0, N_DOCS, 7)])
     optimize_index(out["optimized"])
-    shutil.copytree(out["fresh"], out["small_groups"])
-    docs_dir = os.path.join(out["small_groups"], "docs")
-    for n, f in enumerate(sorted(os.listdir(docs_dir))):
-        path = os.path.join(docs_dir, f)
-        pq.write_table(pq.read_table(path), path, row_group_size=8,
-                       write_statistics=n != 0)
+    # an append whose ids fall between the base's: chunk ranges overlap
+    shutil.copytree(out["fresh"], out["interleaved"])
+    build_index(rd.from_items(_rows(0, 90, offset=1)).repartition(3),
+                out["interleaved"], cfg, append=True)
+    shutil.copytree(out["appended"], out["one_row_batches"])
+    with DocStore.committed(out["one_row_batches"]) as store, \
+            mock.patch.object(docstore, "DOC_ROWS", 1):
+        for i in range(len(store.chunks)):  # same names: same id ranges
+            docstore.write_chunk(out["one_row_batches"],
+                                 store.chunk(i).read(COLUMNS), "doc_id")
     return out
 
 
 def _brute(index_dir, ids, columns):
-    t = pq.read_table(os.path.join(index_dir, "docs"))
+    with DocStore.committed(index_dir) as store:
+        t = store.scan()
     t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(ids, pa.uint64())))
     return t if columns is None else t.select(columns)
-
-
-def _sorted_rows(t):
-    return sorted(tuple(r.values()) for r in t.to_pylist())
 
 
 @st.composite
@@ -100,7 +103,7 @@ _projections = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(layout=st.sampled_from(LAYOUTS), ids=_id_lists(),
        columns=_projections)
-@example(layout="small_groups", ids=list(range(0, 3 * N_DOCS, 3)),
+@example(layout="one_row_batches", ids=list(range(0, 3 * N_DOCS, 3)),
          columns=None)
 @example(layout="optimized", ids=list(range(0, 3 * N_DOCS, 3)),
          columns=["content"])
@@ -110,24 +113,24 @@ def test_gather_matches_brute_force(layouts, layout, ids, columns):
     want = _brute(index_dir, ids, columns)
     assert got.schema == want.schema
     assert got.num_rows == want.num_rows
-    assert _sorted_rows(got) == _sorted_rows(want)
+    assert got.equals(want)  # docstore order
 
 
 def test_layouts_cover_the_directory_cases(layouts):
     """The fixture exercises what the directory must handle: several
-    generations, zstd rewrites, many row groups per file and a file
-    without id statistics."""
-    def codecs(index_dir):
-        d = os.path.join(index_dir, "docs")
-        return {pq.read_metadata(os.path.join(d, f)).row_group(0)
-                .column(0).compression for f in os.listdir(d)}
+    generations, chunks rewritten without deleted rows, chunks of many
+    batches and chunks whose id ranges overlap."""
+    def chunks(layout):
+        return open_index(layouts[layout]).manifest.docstore_chunks()
 
-    assert "ZSTD" in codecs(layouts["optimized"])
-    d = os.path.join(layouts["small_groups"], "docs")
-    mds = [pq.read_metadata(os.path.join(d, f)) for f in sorted(os.listdir(d))]
-    assert all(md.num_row_groups > 1 for md in mds)
-    assert mds[0].row_group(0).column(0).statistics is None
-    assert open_index(layouts["appended"]).manifest.generations() == {0, 1, 2}
+    assert {c["gen"] for c in chunks("appended")} == {0, 1, 2}
+    assert any(c["rows"] < (c["hi"] - c["lo"]) // 3 + 1
+               for c in chunks("optimized"))
+    ranges = sorted((c["lo"], c["hi"]) for c in chunks("interleaved"))
+    assert any(b[0] <= a[1] for a, b in zip(ranges, ranges[1:]))
+    with DocStore.committed(layouts["one_row_batches"]) as store:
+        assert all(store.chunk(i).batch_lo.size == c["rows"] > 1
+                   for i, c in enumerate(store.chunks))
 
 
 def _pandas_join(eng, index_dir, q, kw):
@@ -148,7 +151,8 @@ def _pandas_join(eng, index_dir, q, kw):
 
 @pytest.mark.parametrize("q,kw", DOCS_PROBE)
 def test_search_with_docs_matches_pandas_join(layouts, built_index, q, kw):
-    for index_dir in (built_index, layouts["appended"], layouts["optimized"]):
+    for index_dir in (built_index, layouts["appended"], layouts["optimized"],
+                      layouts["interleaved"]):
         eng = SearchEngine(open_index(index_dir), cache_ttl=0.0)
         got = eng.search(q, limit=10, with_docs=True, highlight=True, **kw)
         want = _pandas_join(eng, index_dir, q, kw)

@@ -31,14 +31,14 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
+from yetisearch_ray.index.docstore import DocStore
 from yetisearch_ray.search.engine import SearchEngine, open_index
 
 
 @pytest.fixture(scope="session")
 def fts5_conn(built_index):
     """Real FTS5 table over the exact docstore the engine indexed."""
-    t = pq.read_table(os.path.join(built_index, "docs"),
-                      columns=["doc_id", "path", "content"]).sort_by("doc_id")
+    t = DocStore.committed(built_index).scan(["doc_id", "path", "content"])
     db = sqlite3.connect(":memory:", check_same_thread=False)
     db.execute("CREATE VIRTUAL TABLE fts USING fts5"
                "(id UNINDEXED, path, content, tokenize='unicode61')")

@@ -321,11 +321,39 @@ def _verify_segment(seg, problems: list) -> int:
     return n
 
 
+def _verify_docstore(index_dir: str, man, doclens_ids, problems: list) -> int:
+    """Read every committed docstore chunk batch by batch (each checked
+    against its metadata range) and compare the union of their ids with
+    the doc-length ids; returns the rows read."""
+    import numpy as np
+
+    from .index.docstore import DocStore
+
+    ids = []
+    with DocStore.committed(index_dir, man) as store:
+        for i in range(len(store.chunks)):
+            try:
+                ids.append(store.chunk_ids(i))
+            except (OSError, ValueError) as e:
+                problems.append(str(e))
+    got = np.sort(np.concatenate(ids)) if ids else np.empty(0, np.uint64)
+    want = np.sort(doclens_ids.astype(np.uint64))
+    if not np.array_equal(got, want):
+        extra = np.setdiff1d(got, want)[:5].tolist()
+        lost = np.setdiff1d(want, got)[:5].tolist()
+        problems.append(
+            f"docstore ids ({got.size}) differ from doclens ids "
+            f"({want.size}): docstore only {extra}, doclens only {lost}")
+    return int(got.size)
+
+
 def cmd_verify(args):
     """Integrity check: manifest committed, every committed segment
     present and readable, every run decodable with the df, cf and
     strictly ascending doc ids its dictionary row claims, dictionaries
-    sorted, stats consistent with doclens.  Exits 1 on any problem."""
+    sorted, stats consistent with doclens, every committed docstore
+    chunk readable with strictly ascending ids in its batch ranges, and
+    the docstore ids equal to the doclens ids.  Exits 1 on any problem."""
     import pyarrow.parquet as pq
 
     from .index.manifest import Manifest
@@ -348,12 +376,16 @@ def cmd_verify(args):
                     n_terms += _verify_segment(seg, problems)
             except (OSError, ValueError) as e:
                 problems.append(str(e))
-    dl = pq.read_table(os.path.join(args.index, "doclens"), columns=["dl"])
+    dl = pq.read_table(os.path.join(args.index, "doclens"), columns=["doc_id"])
     if dl.num_rows != man.stats.get("n_docs"):
         problems.append(
             f"doclens rows {dl.num_rows} != stats n_docs {man.stats.get('n_docs')}")
+    n_docs = _verify_docstore(args.index, man,
+                              dl["doc_id"].to_numpy(zero_copy_only=False),
+                              problems)
     print(json.dumps({"ok": not problems, "segments": n_segments,
-                      "term_rows": n_terms, "problems": problems}))
+                      "term_rows": n_terms, "docstore_rows": n_docs,
+                      "problems": problems}))
     sys.exit(0 if not problems else 1)
 
 

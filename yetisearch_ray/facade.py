@@ -253,24 +253,12 @@ class YetiSearchRay:
 
     @staticmethod
     def _doc_exists(idx_dir: str, man, doc_id: int) -> bool:
-        """Point-lookup the docstore for one id (row-group stats prune
-        the parquet scan; only the id column is read)."""
-        import os
+        """Point-lookup the docstore for one id (one batch decoded)."""
+        from .index.docstore import DocStore
 
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
-
-        docs_dir = os.path.join(idx_dir, "docs")
         id_col = man.config["id_column"]
-        try:
-            t = pq.read_table(docs_dir, columns=[id_col],
-                              filters=[(id_col, "=", doc_id)])
-        except Exception:
-            # empty docstore dir (e.g. right after create_index) has no
-            # schema to project against — no docs means "not found",
-            # so update_document raises the documented KeyError
-            return False
-        return t.num_rows > 0
+        with DocStore.committed(idx_dir, man) as store:
+            return store.gather([doc_id], [id_col]).num_rows > 0
 
     def delete_by_id_prefix(self, name: str, column: str, prefix: str) -> int:
         """deleteByIdPrefix (:377-394) — the reference prefixes its

@@ -26,8 +26,11 @@ import tempfile
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from . import docstore
+from .docstore import DocStore
 from .manifest import Manifest
 from .postings import decode_postings, encode_postings
 from .segment import Segment, segment_paths, write_segment
@@ -80,12 +83,10 @@ def delete_docs(index_dir: str, doc_ids) -> int:
 def delete_by_prefix(index_dir: str, column: str, prefix: str) -> int:
     """Delete every doc whose ``column`` starts with ``prefix`` (the
     reference's id-prefix purge used for stale chunk cleanup)."""
-    docs_dir = os.path.join(index_dir, "docs")
     man = Manifest.load(index_dir)
     id_col = man.config["id_column"]
-    t = pq.read_table(docs_dir, columns=[id_col, column])
-    import pyarrow.compute as pc
-
+    with DocStore.committed(index_dir, man) as store:
+        t = store.column(column)
     mask = pc.starts_with(pc.cast(t[column], pa.string()), prefix)
     ids = t.filter(mask)[id_col].to_pylist()
     if ids:
@@ -107,6 +108,7 @@ def clear_index(index_dir: str) -> None:
     for sub in ("postings", "docs", "doclens"):
         shutil.rmtree(os.path.join(index_dir, sub), ignore_errors=True)
     man.data["partitions"] = {}
+    man.data["docstore"] = {"chunks": []}
     man.data["tombstones"] = []
     man.data["stats"] = {"n_docs": 0, "total_dl": 0, "avgdl": 0.0}
     man.data["status"] = "cleared"
@@ -130,8 +132,8 @@ def index_stats(index_dir: str, by: str | None = None):
         "tombstones": len(man.data.get("tombstones", [])),
     }
     if by:
-        t = pq.read_table(os.path.join(index_dir, "docs"),
-                          columns=[by])
+        with DocStore.committed(index_dir, man) as store:
+            t = store.scan([by])
         import pandas as pd
 
         counts = pd.Series(t[by].to_pylist()).value_counts().to_dict()
@@ -140,23 +142,6 @@ def index_stats(index_dir: str, by: str | None = None):
 
 
 # ---------------------------------------------------------------- optimize
-
-
-def _filter_parquet_dir(dir_path: str, id_col: str, dead: np.ndarray) -> int:
-    """Drop tombstoned rows from every parquet file in a dir (atomic)."""
-    n_dropped = 0
-    for f in sorted(glob.glob(os.path.join(dir_path, "*.parquet"))):
-        t = pq.read_table(f)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        keep = ~np.isin(ids, dead)
-        if keep.all():
-            continue
-        n_dropped += int((~keep).sum())
-        fd, tmp = tempfile.mkstemp(dir=dir_path, prefix=".opt-")
-        os.close(fd)
-        pq.write_table(t.filter(pa.array(keep)), tmp, compression="zstd")
-        os.replace(tmp, f)
-    return n_dropped
 
 
 def _merge_partition(index_dir: str, part: int, gens: list[int],
@@ -257,9 +242,10 @@ def optimize_index(index_dir: str) -> dict:
         for f in fs:
             if os.path.abspath(f) != os.path.abspath(out_path):
                 os.remove(f)
+    chunks, stale = man.docstore_chunks(), []
     if dead.size:
-        _filter_parquet_dir(os.path.join(index_dir, "docs"),
-                            man.config["id_column"], dead)
+        with DocStore.committed(index_dir, man) as store:
+            chunks, stale = store.drop_ids(dead)
     # refresh stats from the compacted doclens
     dl = pq.read_table(dl_dir, columns=["dl"])
     n_docs = dl.num_rows
@@ -279,9 +265,11 @@ def optimize_index(index_dir: str) -> dict:
                                   "terms": terms_of.get(p, 0), "merged": True,
                                   "n_docs": nd, "sum_dl": sd}
     man.data["partitions"] = merged_parts
+    man.data["docstore"] = {"chunks": [{**c, "gen": 0} for c in chunks]}
     man.data["tombstones"] = []
     man.data["optimized_at"] = __import__("time").time()
     man.save()
+    docstore.remove_chunks(index_dir, stale)  # committed: unlisted now
     return {"segments": len(by_part), "docs_removed": int(dead.size),
             "terms_kept": sum(results)}
 
@@ -301,21 +289,34 @@ def rebuild_index(index_dir: str) -> dict:
 
     import ray.data as rd
 
-    docs_dir = os.path.join(index_dir, "docs")
-    tmp_docs = os.path.join(index_dir, ".rebuild_docs")
-    shutil.rmtree(tmp_docs, ignore_errors=True)
-    os.rename(docs_dir, tmp_docs)
+    # move the docstore aside: the build writes a fresh one
+    tmp = os.path.join(index_dir, ".rebuild")
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    os.rename(docstore.docs_dir(index_dir), docstore.docs_dir(tmp))
     for sub in ("postings", "doclens"):
         shutil.rmtree(os.path.join(index_dir, sub), ignore_errors=True)
-    ds = rd.read_parquet(tmp_docs)
-    if dead:
-        dead_arr = np.array(sorted(dead), dtype=np.uint64)
+    chunks = man.docstore_chunks()
+    # the Parquet chunks of a format-2 (or older) index
+    paths = [] if chunks else sorted(
+        glob.glob(os.path.join(docstore.docs_dir(tmp), "*.parquet")))
+    dead_arr = np.array(sorted(dead), dtype=np.uint64)
 
-        def drop_dead(t: pa.Table) -> pa.Table:
-            ids = t[cfg.id_column].to_numpy(zero_copy_only=False)
-            return t.filter(pa.array(~np.isin(ids, dead_arr)))
+    def read_chunk(b: pa.Table) -> pa.Table:
+        i = b["chunk"][0].as_py()
+        if chunks:
+            with DocStore(tmp, [chunks[i]], cfg.id_column) as store:
+                t = store.scan()
+        else:
+            t = pq.read_table(paths[i])
+        ids = t[cfg.id_column].to_numpy(zero_copy_only=False)
+        return t.filter(pa.array(~np.isin(ids, dead_arr)))
 
-        ds = ds.map_batches(drop_dead, batch_format="pyarrow")
+    # one block per chunk, so the rebuilt chunks keep their id ranges
+    n = len(chunks or paths)
+    ds = rd.from_items([{"chunk": i} for i in range(n)],
+                       override_num_blocks=max(n, 1)).map_batches(
+        read_chunk, batch_size=1, batch_format="pyarrow")
     # NOTE: content_hash_column stays set — re-hashing the stored source
     # column reproduces identical sha256 values, and clearing it would
     # silently drop the column from the rebuilt docstore and persisted
@@ -323,5 +324,5 @@ def rebuild_index(index_dir: str) -> dict:
     # fresh manifest + build (docstore chunks re-written from the copy)
     os.remove(os.path.join(index_dir, "manifest.json"))
     man2 = build_index(ds, index_dir, cfg, input_fingerprint="rebuild")
-    shutil.rmtree(tmp_docs, ignore_errors=True)
+    shutil.rmtree(tmp, ignore_errors=True)
     return {"n_docs": man2.stats["n_docs"], "dropped": len(dead)}

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 MANIFEST_NAME = "manifest.json"
-# 2: block-addressed posting segments (``segment.py``).  No reader of
-# format 1 is kept: ``manage.rebuild_index`` rebuilds an index from its
-# docstore in the current format.
-FORMAT_VERSION = 2
+# 2: block-addressed posting segments (``segment.py``).
+# 3: a manifest-listed docstore of Arrow IPC chunks (``docstore.py``).
+# No reader of older formats is kept: ``manage.rebuild_index`` rebuilds
+# an index from its docstore in the current format.
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -56,7 +57,7 @@ class Manifest:
         if v != FORMAT_VERSION:
             d = os.path.dirname(self.path)
             raise ValueError(
-                f"index {d} has posting format {v}, this version reads "
+                f"index {d} has format {v}, this version reads "
                 f"format {FORMAT_VERSION}: rebuild it from its docstore "
                 f"with yetisearch_ray.index.manage.rebuild_index({d!r})")
 
@@ -80,7 +81,7 @@ class Manifest:
                 "config": config,
                 "input_fingerprint": input_fingerprint,
                 "partitions": {},
-                "docstore": {},
+                "docstore": {"chunks": []},
                 "stats": {},
                 "status": "building",
             },
@@ -107,19 +108,39 @@ class Manifest:
                 out.add(int(k.split(":")[-1]))
         return out
 
+    def _committed(self, count: str, max_generation: int | None):
+        """(partition, generation) of the committed partitions with a
+        non-zero ``count``, optionally up to ``max_generation``."""
+        for k, v in self.data.get("partitions", {}).items():
+            g, _, part = k.rpartition(":")
+            gen = int(g or 0)
+            if (v.get("status") == "committed" and v.get(count, 0) > 0
+                    and (max_generation is None or gen <= max_generation)):
+                yield int(part), gen
+
     def segment_generations(self, max_generation: int | None = None
                             ) -> dict[int, set[int]]:
         """partition -> generations whose posting segment the manifest
         commits (committed with terms), optionally up to
         ``max_generation``: the segment snapshot of a reader."""
         out: dict[int, set[int]] = {}
-        for k, v in self.data.get("partitions", {}).items():
-            g, _, part = k.rpartition(":")
-            gen = int(g or 0)
-            if (v.get("status") == "committed" and v.get("terms", 0) > 0
-                    and (max_generation is None or gen <= max_generation)):
-                out.setdefault(int(part), set()).add(gen)
+        for part, gen in self._committed("terms", max_generation):
+            out.setdefault(part, set()).add(gen)
         return out
+
+    def doclens_segments(self, max_generation: int | None = None
+                         ) -> list[tuple[int, int]]:
+        """(partition, generation) of every committed doc-length file
+        (committed with docs), optionally up to ``max_generation``."""
+        return sorted(self._committed("n_docs", max_generation))
+
+    def docstore_chunks(self, max_generation: int | None = None
+                        ) -> list[dict]:
+        """The committed docstore chunks (``docstore.py`` entries: name,
+        rows, id range, bytes, generation), optionally up to
+        ``max_generation``."""
+        return [c for c in self.data.get("docstore", {}).get("chunks", [])
+                if max_generation is None or c["gen"] <= max_generation]
 
     def generations(self) -> set[int]:
         return {
@@ -130,8 +151,8 @@ class Manifest:
     def record_partition(self, part, metrics: dict) -> None:
         self.data["partitions"][str(part)] = {"status": "committed", **metrics}
 
-    def finalize(self, stats: dict, docstore: dict) -> None:
+    def finalize(self, stats: dict, chunks: list[dict]) -> None:
         self.data["stats"] = stats
-        self.data["docstore"] = docstore
+        self.data["docstore"] = {"chunks": chunks}
         self.data["status"] = "committed"
         self.data["committed_at"] = time.time()

@@ -38,9 +38,10 @@ from .bm25 import K1, B, idf as _idf
 from .topk import topk_order
 from ..analysis.analyzer import StandardAnalyzer
 from ..index.build import term_partition
+from ..index.docstore import DocStore
 from ..index.manifest import Manifest
 from ..index.postings import decode_postings, merge_postings
-from ..index.segment import Record, SegmentSet
+from ..index.segment import Record, SegmentSet, segment_name
 
 MAX_RESULTS = 1000  # reference clamp (src/Search/SearchEngine.php:661)
 
@@ -65,58 +66,6 @@ class Posting:
 
 
 _EMPTY = Posting(np.empty(0, np.uint64), np.empty(0, np.uint64), None)
-
-
-@dataclass
-class _DocstoreDirectory:
-    """Doc-id range of every docstore row group, from the Parquet footers.
-
-    ``files[i]`` is ``(path, footer metadata)``; entry ``j`` is row group
-    ``group[j]`` of file ``file[j]``, holding ids in ``[lo[j], hi[j]]``.
-    A row group without id statistics spans every id, so it is always
-    read.  Like the rest of a reader, this is a snapshot: writes open a
-    fresh reader."""
-
-    files: list
-    schema: pa.Schema
-    file: np.ndarray
-    group: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @classmethod
-    def load(cls, docs_dir: str, id_column: str) -> "_DocstoreDirectory":
-        files, file, group, lo, hi = [], [], [], [], []
-        # the files a pyarrow dataset would discover, in its order
-        names = sorted(n for n in os.listdir(docs_dir)
-                       if not n.startswith((".", "_")))
-        for fi, name in enumerate(names):
-            path = os.path.join(docs_dir, name)
-            md = pq.read_metadata(path)
-            files.append((path, md))
-            col = md.schema.names.index(id_column)
-            for g in range(md.num_row_groups):
-                st = md.row_group(g).column(col).statistics
-                ranged = st is not None and st.has_min_max
-                file.append(fi)
-                group.append(g)
-                lo.append(st.min if ranged else 0)
-                hi.append(st.max if ranged else (1 << 64) - 1)
-        schema = (files[0][1].schema.to_arrow_schema() if files
-                  else pa.schema([]))
-        return cls(files, schema, np.array(file, np.int64),
-                   np.array(group, np.int64), np.array(lo, np.uint64),
-                   np.array(hi, np.uint64))
-
-    def hits(self, ids: np.ndarray):
-        """``(file index, [row group, ...])`` pairs, in docstore order,
-        for the row groups whose range covers one of the sorted ``ids``."""
-        hit = np.flatnonzero(np.searchsorted(ids, self.lo, "left")
-                             < np.searchsorted(ids, self.hi, "right"))
-        out: dict[int, list[int]] = {}
-        for j in hit:
-            out.setdefault(int(self.file[j]), []).append(int(self.group[j]))
-        return out.items()
 
 
 class IndexReader:
@@ -183,10 +132,11 @@ class IndexReader:
             index_dir, self.manifest.segment_generations(max_generation))
         self._cache: OrderedDict[str, dict[int, Posting]] = OrderedDict()
         self._cache_max = cache_terms
-        self._docs_dir = os.path.join(index_dir, "docs")
+        # the same snapshot of the docstore: chunks open on first touch
+        self._docstore = DocStore.committed(index_dir, self.manifest,
+                                            max_generation)
         self._doc_meta: dict[str, np.ndarray] | None = None
         self._meta_dense = False
-        self._docs_directory: _DocstoreDirectory | None = None
 
     # ---------------- doc metadata (lazy resident arrays) --------------
     def _load_meta(self):
@@ -202,8 +152,13 @@ class IndexReader:
         the orthogonal axis served by search/sharded.py."""
         if self._doc_meta is not None:
             return
-        dl_dir = os.path.join(self.index_dir, "doclens")
-        dt = pq.read_table(dl_dir, columns=["doc_id", "dl"])
+        # the doc-length files of this reader's snapshot
+        files = [os.path.join(self.index_dir, "doclens",
+                              segment_name(p, g) + ".parquet")
+                 for p, g in self.manifest.doclens_segments(self.max_generation)]
+        dt = (pq.read_table(files, columns=["doc_id", "dl"]) if files
+              else pa.table({"doc_id": pa.array([], pa.uint64()),
+                             "dl": pa.array([], pa.int64())}))
         dt = dt.take(pc.sort_indices(dt["doc_id"]))
         ids = dt["doc_id"].to_numpy(zero_copy_only=False)
         self._doc_meta = {
@@ -220,27 +175,30 @@ class IndexReader:
     def _load_col(self, col: str):
         if col in self._doc_meta:
             return
-        t = pq.read_table(self._docs_dir, columns=[self.id_column, col])
-        t = t.take(pc.sort_indices(t[self.id_column]))
-        # docstore rows are the same doc set as doclens; align by doc_id
-        ids = t[self.id_column].to_numpy(zero_copy_only=False)
+        t = self._docstore.column(col)
+        ids = (t[self.id_column].to_numpy(zero_copy_only=False)
+               .astype(np.uint64, copy=False))
         vals = t[col].to_numpy(zero_copy_only=False)
+        if (ids[1:] <= ids[:-1]).any():  # chunks of interleaved appends
+            order = np.argsort(ids, kind="stable")
+            ids, vals = ids[order], vals[order]
         ref = self._doc_meta[self.id_column]
-        if ids.size == ref.size and np.array_equal(ids, ref):
-            self._doc_meta[col] = vals
-        else:  # defensive: docstore/doclens divergence (mid-append reads)
-            idx = np.clip(np.searchsorted(ids, ref), 0, max(ids.size - 1, 0))
-            self._doc_meta[col] = vals[idx]
+        if not (ids.size == ref.size and np.array_equal(ids, ref)):
+            # align by doc id; a doc-meta row without a docstore row is
+            # an error: a clamped lookup would give it another doc's value
+            at = np.searchsorted(ids, ref)
+            hit = (ids[np.minimum(at, ids.size - 1)] == ref if ids.size
+                   else np.zeros(ref.size, dtype=bool))
+            if not hit.all():
+                raise KeyError(f"doc ids without a docstore row in "
+                               f"{self.index_dir}: {ref[~hit][:5].tolist()}")
+            vals = vals[at]
+        self._doc_meta[col] = vals
 
     def has_meta(self, col: str) -> bool:
         """Whether the docstore carries this metadata column (schema
         check — does not force the column resident)."""
-        try:
-            return col in pq.read_schema(
-                os.path.join(self._docs_dir,
-                             sorted(os.listdir(self._docs_dir))[0])).names
-        except (OSError, IndexError):
-            return False
+        return col in self._docstore.schema.names
 
     def meta(self, col: str) -> np.ndarray:
         self._load_meta()
@@ -330,9 +288,10 @@ class IndexReader:
         return out
 
     def close(self) -> None:
-        """Release the open segment files (the reader stays usable:
-        a later fetch reopens what it needs)."""
+        """Release the open segment and docstore files (the reader stays
+        usable: a later read reopens what it needs)."""
         self._segments.close()
+        self._docstore.close()
 
     def dictionary_rows(self, prefix: str = "") -> pa.Table:
         """``(term, field, df, cf)`` rows of every committed segment's
@@ -388,34 +347,12 @@ class IndexReader:
     # ---------------- docstore gather ---------------------------------
     def docs(self, doc_ids, columns=None) -> pa.Table:
         """Stored rows whose id is in ``doc_ids``, in docstore order
-        (absent ids are omitted, a repeated id adds no rows).  Reads
-        only the row groups whose footer id range covers a requested id,
-        so a top-k gather decodes a few row groups, not the whole
-        docstore.  Columns and types follow the first docstore file's
-        schema."""
-        if self._docs_directory is None:  # once per reader
-            self._docs_directory = _DocstoreDirectory.load(
-                self._docs_dir, self.id_column)
-        d = self._docs_directory
-        want = np.unique(np.asarray(doc_ids, dtype=np.uint64))
-        cols = d.schema.names if columns is None else list(columns)
-        read = cols if self.id_column in cols else cols + [self.id_column]
-        value_set = pa.array(want, pa.uint64())
-        target = pa.schema([d.schema.field(c) for c in read])
-        pieces = []
-        for fi, groups in d.hits(want):
-            path, md = d.files[fi]
-            with pq.ParquetFile(path, metadata=md) as pf:
-                for g in groups:
-                    t = pf.read_row_group(g, columns=read)
-                    t = t.filter(pc.is_in(t[self.id_column],
-                                          value_set=value_set))
-                    if t.num_rows:
-                        pieces.append(t if t.schema.equals(target)
-                                      else t.cast(target))
-        out = pa.concat_tables(pieces) if pieces else target.empty_table()
-        # projected last: a table without columns still counts its rows
-        return out.select(cols)
+        (absent ids are omitted, a repeated id adds no rows; the
+        projection is applied last).  Decodes only the docstore batches
+        whose id range holds a requested id (``docstore.py``), so a
+        top-k gather decodes about k small batches.  Columns and types
+        follow the first docstore chunk's schema."""
+        return self._docstore.gather(doc_ids, columns)
 
 
 def open_index(index_dir: str,
