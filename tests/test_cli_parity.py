@@ -46,6 +46,7 @@ class TestExplain:
         assert boosted[0]["boost"] == 2.0
         r = eng.explain("parse", rank_column="lang", rank_weight=0.5)
         assert r["rank_boost"]["column"] == "lang"
+        assert r["stages"] == ["rank_boost"] and p["stages"] == []
 
     def test_near_plan(self, built_index):
         from yetisearch_ray.search.engine import SearchEngine, open_index
@@ -58,7 +59,8 @@ class TestExplain:
                                                     monkeypatch):
         """explain() and search() compile through one call: over the
         benchmark query set under each rank modifier, the arms search()
-        hands the scorer are the ones explain() reports, and explain()
+        hands the scorer are the ones explain() reports, its
+        ``stages`` are the score modifiers search() ran, and explain()
         raises exactly when search() does."""
         from bench import QUERY_SET
         from yetisearch_ray.search.engine import SearchEngine, open_index
@@ -72,6 +74,21 @@ class TestExplain:
             return score(cq, *a, **kw)
 
         monkeypatch.setattr(eng, "_score", spy)
+        ran, candidates, seen = [], [], set()
+        stages, cands = eng._stages, eng._candidates
+
+        def stage_spy(req):
+            def record(name, fn):
+                return lambda *a: (ran.append(name), fn(*a))
+            return [(name, record(name, fn)) for name, fn in stages(req)]
+
+        def cand_spy(*a, **kw):
+            out = cands(*a, **kw)
+            candidates.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(eng, "_stages", stage_spy)
+        monkeypatch.setattr(eng, "_candidates", cand_spy)
         modifiers = [
             {},
             dict(rank_column="doc_id", rank_weight=0.5),
@@ -81,11 +98,15 @@ class TestExplain:
             dict(distance_weight=0.5),
             dict(slop=2),
             dict(enable_suggestions=True),
+            dict(negative_terms=["return"], rank_column="doc_id",
+                 rank_weight=0.2, decay_column="doc_id", decay_scale=50.0),
         ]
         for q, kw in QUERY_SET:
             for mod in modifiers:
                 opts = dict(kw, **mod)
                 scored.clear()
+                ran.clear()
+                candidates.clear()
                 try:
                     eng.search(q, limit=10, **opts)
                 except Exception as e:
@@ -107,6 +128,12 @@ class TestExplain:
                     None if cq.fields is None else sorted(cq.fields))
                 assert plan.get("min_should_match", 1) == cq.min_should_match
                 assert ("dismax" in plan) == cq.dismax, (q, opts)
+                # stages run on a non-empty candidate set (the first
+                # candidate call is search()'s; negative_terms adds more)
+                assert ran == (plan["stages"] if candidates[0] else []), \
+                    (q, opts)
+                seen.update(ran)
+        assert seen == {"rank_boost", "decay", "negative_terms"}
 
 
 @pytest.mark.usefixtures("ray_session")

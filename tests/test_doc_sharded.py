@@ -81,3 +81,49 @@ class TestDocShardedServing:
                            min_score=thr)
         assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist()
         assert a.num_rows < 10  # filtering shrank the page for both
+
+    def test_identical_with_tombstones(self, built_index, tiny_corpus_dir,
+                                       tmp_path):
+        """The same ids deleted from the single index and from their
+        shards before the actors open: each shard drops its own deleted
+        docs in the candidate stage, and the merged ranking still equals
+        the single index's."""
+        import shutil
+
+        from yetisearch_ray.index.build import IndexConfig
+        from yetisearch_ray.index.manage import delete_docs
+        from yetisearch_ray.search.doc_sharded import (DocShardedEngine,
+                                                       build_doc_shards)
+        from yetisearch_ray.sources.parquet_source import \
+            read_parquet_with_doc_ids
+
+        single = str(tmp_path / "single")
+        shutil.copytree(built_index, single)
+        cfg = IndexConfig(
+            fields=[("path", "path"), ("content", "content")],
+            language_column="lang",
+            store_columns=["repo", "path", "commit", "lang", "content"],
+            num_partitions=4,
+        )
+        dirs = build_doc_shards(read_parquet_with_doc_ids(tiny_corpus_dir),
+                                str(tmp_path / "shards"), cfg, n_shards=3)
+        top = SearchEngine(open_index(single), cache_ttl=0.0).search(
+            "return", limit=60, normalize=False)["doc_id"].to_pylist()
+        dead = top[::4] + [1, 2, 3]
+        delete_docs(single, dead)
+        for s, d in enumerate(dirs):
+            delete_docs(d, [i for i in dead if i % 3 == s])
+        local = SearchEngine(open_index(single), cache_ttl=0.0)
+        sharded = DocShardedEngine(dirs)
+        try:
+            for case in self.CASES:
+                kw = dict(case)
+                q = kw.pop("q")
+                a = local.search(q, limit=20, normalize=False, **kw)
+                b = sharded.search(q, limit=20, normalize=False, **kw)
+                assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), case
+                assert not set(dead) & set(b["doc_id"].to_pylist()), case
+                assert np.allclose(a["score"].to_numpy(), b["score"].to_numpy(),
+                                   atol=1e-9), case
+        finally:
+            sharded.shutdown()

@@ -88,6 +88,8 @@ class TestEngineGeo:
                                              "radius_km": 20.0}})
         assert sorted(r["doc_id"].to_pylist()) == [1, 2]
         assert r["distance_km"][0].as_py() is not None
+        assert eng.count("cafe", geo_filters={"near": {
+            "lat": 48.8566, "lng": 2.3522, "radius_km": 20.0}}) == 2
 
     def test_within_bounds(self, geo_index):
         from yetisearch_ray.search.engine import SearchEngine, open_index

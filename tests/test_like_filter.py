@@ -20,16 +20,14 @@ IN_LISTS = [["abc"], ["abc", "a_c"], ["ABC", 12], [1.5, "", "None"]]
 def _engine():
     vals = np.array(VALUES, dtype=object)
     eng = SearchEngine.__new__(SearchEngine)
-    eng.index = SimpleNamespace(
-        language_column=None,
-        meta_for=lambda col, ids: vals[ids.astype(np.int64)])
+    eng.index = SimpleNamespace(language_column=None, meta=lambda col: vals)
     return eng
 
 
 def _check(eng, con, op, value, sql):
-    ids = np.arange(len(VALUES), dtype=np.uint64)
+    rows = np.arange(len(VALUES))
     got = eng._apply_filters(
-        ids, [{"field": "v", "operator": op, "value": value}], None)
+        rows, [{"field": "v", "operator": op, "value": value}], None)
     params = value if isinstance(value, list) else [value]
     # NaN binds as NULL in sqlite3, the same as None
     want = [bool(con.execute(sql, (v, *params)).fetchone()[0])

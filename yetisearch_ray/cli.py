@@ -10,7 +10,7 @@
     create-index  --index DIR [--fields title,content]  (empty committed index)
     knn           --index DIR --lat .. --lng .. [--k 5] [--units m|km|mi]
     facets-distance --index DIR --lat .. --lng .. --ranges 1,5,10
-    debug-query   --index DIR QUERY   (compiled plan + per-arm df + I/O plan)
+    debug-query   --index DIR QUERY   (compiled plan + per-arm df + I/O plan + stages)
     stats         --index DIR [--by lang]
     optimize      --index DIR
     verify        --index DIR     (manifest + segment integrity check)
@@ -271,7 +271,7 @@ def cmd_facets_distance(args):
 def cmd_debug_query(args):
     """Query-plan introspection (reference debug:query,
     ``bin/yetisearch:137-155``): compiled arms, per-arm df, posting
-    partitions read, fuzzy rewrite."""
+    partitions read, fuzzy rewrite, score-modifier stages."""
     eng = _engine(args)
     print(json.dumps(eng.explain(args.query, mode=args.mode,
                                  fuzzy=args.fuzzy), indent=1))
@@ -503,7 +503,9 @@ def main(argv=None):
     s.set_defaults(fn=cmd_facets_distance, sharded=0)
 
     s = sub.add_parser("debug-query",
-                       help="print the compiled query plan (debug:query)")
+                       help="print the compiled query plan (debug:query): "
+                            "arms, per-arm df, partitions read and the "
+                            "score-modifier stages search() runs")
     s.add_argument("--index", required=True)
     s.add_argument("query")
     s.add_argument("--mode", default="smart")

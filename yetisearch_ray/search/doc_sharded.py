@@ -9,18 +9,22 @@ classic two-phase distributed-BM25 protocol:
   phase 1 (stats): every shard reports its LOCAL per-arm document
       frequencies (``SearchEngine.arm_dfs``) + its (n_docs, total_dl);
       the coordinator sums them into GLOBAL (N, avgdl, df-per-arm).
-  phase 2 (score): every shard scores its own candidates with the
-      global stats injected (``_score(stats_override=...)``), applies
-      filters/language/tombstones locally, and returns its top-k;
-      the coordinator merges by (rank, doc_id) and pages.
+  phase 2 (score): every shard runs the single-index candidate stage
+      (``SearchEngine._candidates``: score with the global stats
+      injected, then its own tombstones, then filters/language) and
+      returns its top-k; the coordinator merges by (rank, doc_id) and
+      pages.
 
-Because BM25 factors as f(global stats, local tf, local dl), the merged
-ranking is EXACTLY the single-index ranking (asserted in
-tests/test_doc_sharded.py).
+Both phases compile the query as ``search()`` does
+(``SearchEngine._compile_search``), so the arms a shard counts are the
+arms it scores.  Because BM25 factors as f(global stats, local tf,
+local dl), the merged ranking is EXACTLY the single-index ranking
+(asserted in tests/test_doc_sharded.py).
 
 Supported options: mode, field_weights, filters, language, min_score,
-limit/offset, normalize.  Fuzzy/geo/sort/route-dedup stay on the
-single-reader or term-sharded paths (their state is corpus-global).
+limit/offset, normalize, prefix_last.  Fuzzy/geo/sort/route-dedup stay
+on the single-reader or term-sharded paths (their state is
+corpus-global).
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ import pyarrow as pa
 
 import ray
 
-from .engine import MAX_RESULTS, SearchEngine, compile_query, open_index
+from .engine import MAX_RESULTS, SearchEngine, SearchRequest, open_index
 from .topk import topk_order
 
 
 @ray.remote(max_restarts=2)
 class DocShardActor:
-    """One doc-range shard: full engine over its sub-index."""
+    """One doc-range shard: full engine over its sub-index.  ``options``
+    are ``SearchRequest`` fields."""
 
     def __init__(self, index_dir: str, **engine_kwargs):
         self.engine = SearchEngine(open_index(index_dir), cache_ttl=0.0,
@@ -46,31 +51,22 @@ class DocShardActor:
         st = self.engine.index.manifest.stats
         return int(st["n_docs"]), float(st["total_dl"])
 
-    def arm_dfs(self, query: str, mode: str, prefix_last: bool) -> dict:
-        cq = compile_query(query, self.engine.analyzer, mode=mode,
-                           prefix_last=prefix_last)
+    def arm_dfs(self, query: str, **options) -> dict:
+        cq, _, _ = self.engine._compile_search(SearchRequest(query, **options))
         return self.engine.arm_dfs(cq)
 
-    def topk(self, query: str, *, k: int, mode: str, prefix_last: bool,
-             stats_override: dict, field_weights: dict | None,
-             filters, language: str | None) -> tuple[np.ndarray, np.ndarray]:
+    def topk(self, query: str, *, k: int, stats_override: dict,
+             **options) -> tuple[np.ndarray, np.ndarray]:
         eng = self.engine
-        cq = compile_query(query, eng.analyzer, mode=mode,
-                           prefix_last=prefix_last)
-        weights = eng._field_weight_vector(field_weights)
-        doc_ids, rank = eng._score(cq, weights,
-                                   stats_override=stats_override)
-        if doc_ids.size and eng.index.tombstones.size:
-            live = ~np.isin(doc_ids, eng.index.tombstones)
-            doc_ids, rank = doc_ids[live], rank[live]
-        if doc_ids.size:
-            keep = eng._apply_filters(doc_ids, filters, language)
-            doc_ids, rank = doc_ids[keep], rank[keep]
+        req = SearchRequest(query, **options)
+        cq, _, _ = eng._compile_search(req)
+        rows, rank = eng._candidates(cq, eng._weights(req), req,
+                                     stats_override)
         # NOTE: min_score is NOT applied here — the single-index engine
         # filters AFTER truncating to the page, so the coordinator must
         # do the same on the merged ranking for exact parity.
-        order = topk_order(rank, doc_ids, k)[:k]
-        return doc_ids[order], rank[order]
+        order = topk_order(rank, rows, k)[:k]
+        return eng.index.meta(eng.index.id_column)[rows[order]], rank[order]
 
 
 def build_doc_shards(ds, base_dir: str, cfg, n_shards: int = 4,
@@ -78,8 +74,6 @@ def build_doc_shards(ds, base_dir: str, cfg, n_shards: int = 4,
     """Split the input by doc_id hash-range into ``n_shards`` sub-indexes
     (one ``build_index`` each, under ``{base_dir}/shard=K``)."""
     import os
-
-    import pyarrow.compute as pc  # noqa: F401
 
     from ..index.build import build_index
 
@@ -114,8 +108,11 @@ class DocShardedEngine:
                min_score: float = 0.0, normalize: bool = True,
                prefix_last: bool = False) -> pa.Table:
         limit = min(int(limit), MAX_RESULTS)
+        opts = dict(mode=mode, prefix_last=prefix_last,
+                    field_weights=field_weights, filters=filters,
+                    language=language)
         # phase 1: global per-arm dfs
-        local = ray.get([a.arm_dfs.remote(query, mode, prefix_last)
+        local = ray.get([a.arm_dfs.remote(query, **opts)
                          for a in self._actors])
         dfs: dict = {}
         for d in local:
@@ -126,22 +123,17 @@ class DocShardedEngine:
         # phase 2: per-shard top-k with global stats
         k = offset + limit
         parts = ray.get([
-            a.topk.remote(query, k=k, mode=mode, prefix_last=prefix_last,
-                          stats_override=stats_override,
-                          field_weights=field_weights, filters=filters,
-                          language=language)
+            a.topk.remote(query, k=k, stats_override=stats_override, **opts)
             for a in self._actors
         ])
         doc_ids = np.concatenate([p[0] for p in parts]) \
             if parts else np.empty(0, np.uint64)
         rank = np.concatenate([p[1] for p in parts]) \
             if parts else np.empty(0, np.float64)
-        order = np.lexsort((doc_ids, rank))
-        doc_ids, rank = doc_ids[order], rank[order]
         # single-index order of operations: truncate to the page window,
         # THEN apply min_score (can return fewer than `limit` rows)
-        doc_ids = doc_ids[:offset + limit]
-        rank = rank[:offset + limit]
+        order = np.lexsort((doc_ids, rank))[:offset + limit]
+        doc_ids, rank = doc_ids[order], rank[order]
         if min_score > 0 and doc_ids.size:
             keep = np.abs(rank) >= min_score
             doc_ids, rank = doc_ids[keep], rank[keep]

@@ -21,11 +21,13 @@ reader is the per-shard unit of that design.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import re
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
@@ -34,9 +36,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .bm25 import K1, B, idf as _idf
+from .bm25 import K1, B, bm25_term_score, idf as _idf
+from .fuzzy import FuzzyMatcher, fuzzy_penalty
 from .topk import topk_order
 from ..analysis.analyzer import StandardAnalyzer
+from ..analysis.tokenizer import fold_text, tokenize as _index_tok
+from ..functions.geo import distance_blend, haversine_km, in_bounds, near_mask
 from ..index.build import term_partition
 from ..index.docstore import DocStore
 from ..index.manifest import Manifest
@@ -54,15 +59,6 @@ class Posting:
     doc_ids: np.ndarray
     tfs: np.ndarray
     positions: np.ndarray | None  # flat; boundaries via tfs
-
-    def pos_slices(self):
-        """Yield (doc_id, positions_array) pairs."""
-        if self.positions is None:
-            return
-        starts = np.cumsum(self.tfs.astype(np.int64)) - self.tfs.astype(np.int64)
-        for i, d in enumerate(self.doc_ids):
-            s = starts[i]
-            yield d, self.positions[s : s + int(self.tfs[i])]
 
 
 _EMPTY = Posting(np.empty(0, np.uint64), np.empty(0, np.uint64), None)
@@ -111,11 +107,8 @@ class IndexReader:
         # cache tier keyed on it (query cache, persistent query cache,
         # fuzzy term/correction cache) invalidates without coordination.
         # tombstone_version alone missed appends/rebuilds.
-        import hashlib as _hashlib
-        import json as _json
-
         md = self.manifest.data
-        state = _json.dumps({
+        state = json.dumps({
             "parts": sorted((k, v.get("bytes", 0), v.get("rows", 0))
                             for k, v in (md.get("partitions") or {}).items()),
             "tombv": md.get("tombstone_version", 0),
@@ -123,7 +116,7 @@ class IndexReader:
             "stats": md.get("stats"),
             "maxgen": max_generation,
         }, sort_keys=True, default=str)
-        self.mutation_version = _hashlib.md5(state.encode()).hexdigest()[:16]
+        self.mutation_version = hashlib.md5(state.encode()).hexdigest()[:16]
         # the segments this reader's own manifest commits: generations
         # appended after it opened are never read (snapshot isolation),
         # and a committed segment that is gone is an error naming its
@@ -137,6 +130,7 @@ class IndexReader:
                                             max_generation)
         self._doc_meta: dict[str, np.ndarray] | None = None
         self._meta_dense = False
+        self._live: np.ndarray | None = None
 
     # ---------------- doc metadata (lazy resident arrays) --------------
     def _load_meta(self):
@@ -207,19 +201,10 @@ class IndexReader:
         return self._doc_meta[col]
 
     def meta_for(self, col: str, doc_ids: np.ndarray) -> np.ndarray:
-        """Values of a metadata column for given doc_ids (dense direct
-        index when doc_ids are 0..N-1, else sorted lookup)."""
-        self._load_meta()
-        if col != "dl_total":
-            self._load_col(col)
-        ids = self._doc_meta[self.id_column]
-        if self._meta_dense:
-            idx = np.minimum(doc_ids.astype(np.intp, copy=False),
-                             ids.size - 1)
-        else:
-            idx = np.searchsorted(ids, doc_ids)
-            idx = np.clip(idx, 0, ids.size - 1)
-        return self._doc_meta[col][idx]
+        """Values of a metadata column for given doc ids: ``meta(col)``
+        at ``rows_of(doc_ids)``, so an id without a doc-meta row raises
+        ``KeyError``."""
+        return self.meta(col)[self.rows_of(doc_ids)]
 
     def dl_total_for(self, doc_ids: np.ndarray) -> np.ndarray:
         return self.meta_for("dl_total", doc_ids)
@@ -231,24 +216,38 @@ class IndexReader:
         self._load_meta()
         return int(self._doc_meta[self.id_column].size)
 
-    def rows_of(self, doc_ids: np.ndarray) -> np.ndarray:
-        """Doc-meta row of each doc id, i.e. its position in the sorted
-        ``doclens`` id array — the row space the scorer accumulates in
-        (a direct index when ids are dense).  Raises ``KeyError`` for an
-        id without a row: a clamped lookup would credit another doc."""
+    def _find_rows(self, doc_ids: np.ndarray):
+        """(doc-meta row of each doc id, mask of the ids that have one);
+        a direct index when ids are dense, else a sorted lookup."""
         self._load_meta()
         ids = self._doc_meta[self.id_column]
         if self._meta_dense:
-            rows = doc_ids.astype(np.intp)
-            hit = doc_ids < ids.size
-        else:
-            rows = np.searchsorted(ids, doc_ids)
-            hit = (ids[np.minimum(rows, ids.size - 1)] == doc_ids if ids.size
-                   else np.zeros(doc_ids.size, dtype=bool))
+            return doc_ids.astype(np.intp), doc_ids < ids.size
+        rows = np.searchsorted(ids, doc_ids)
+        hit = (ids[np.minimum(rows, ids.size - 1)] == doc_ids if ids.size
+               else np.zeros(doc_ids.size, dtype=bool))
+        return rows, hit
+
+    def rows_of(self, doc_ids: np.ndarray) -> np.ndarray:
+        """Doc-meta row of each doc id, i.e. its position in the sorted
+        ``doclens`` id array — the row space the scorer accumulates in
+        (rows ascend with doc id).  Raises ``KeyError`` for an id without
+        a row: a clamped lookup would credit another doc."""
+        rows, hit = self._find_rows(doc_ids)
         if not hit.all():
             raise KeyError(f"doc ids without a doc-meta row in "
                            f"{self.index_dir}: {doc_ids[~hit][:5].tolist()}")
         return rows
+
+    @property
+    def live(self) -> np.ndarray:
+        """Bool mask over the doc-meta rows, False at a deleted
+        (tombstoned) doc; built once per reader."""
+        if self._live is None:
+            rows, hit = self._find_rows(self.tombstones)
+            self._live = np.ones(self.n_rows, dtype=bool)
+            self._live[rows[hit]] = False
+        return self._live
 
     # ---------------- postings ----------------------------------------
     def _term_parts(self, term: str) -> list[int]:
@@ -423,8 +422,6 @@ def compile_query(query: str, analyzer: StandardAnalyzer, mode: str = "smart",
         mode = "phrase"
     groups = analyzer.match_terms(query)
     terms: list[str] = [t for g in groups for t in g]
-    if prefix_last and terms:
-        pass  # handled below via Phrase.prefix
     if not terms:
         return CompiledQuery(mode=mode)
 
@@ -576,6 +573,23 @@ class SearchRequest:
                 version)
 
 
+@dataclass
+class _Hits:
+    """Candidates on their way to the page: doc-meta rows (ascending
+    until the selection orders them), their rank (negated score) and,
+    under a geo filter with a reference point, their distances in km."""
+
+    rows: np.ndarray
+    rank: np.ndarray
+    distances: np.ndarray | None = None
+
+    def take(self, sel) -> None:
+        """Keep (and order) the candidates at ``sel``."""
+        self.rows, self.rank = self.rows[sel], self.rank[sel]
+        if self.distances is not None:
+            self.distances = self.distances[sel]
+
+
 class SearchEngine:
     def __init__(self, index: IndexReader, *, language: str = "en",
                  analyzer: StandardAnalyzer | None = None,
@@ -617,8 +631,6 @@ class SearchEngine:
         """Dictionary head + fuzzy state, built lazily once per engine
         (reference's indexed-terms cache, §2.3)."""
         if self._fuzzy is None:
-            from .fuzzy import FuzzyMatcher
-
             limit, min_df, min_part = self._fuzzy_cfg
             self._fuzzy = FuzzyMatcher(
                 self.index.dictionary(limit=limit, min_df=min_df),
@@ -665,30 +677,26 @@ class SearchEngine:
             expanded = self.index.expand_prefix(phrase.terms[-1],
                                                 max_terms=1 << 31)
             base_terms = phrase.terms[:-1]
+            buf: dict[int, list] = {}
+            for t in expanded:
+                for fid, p in self._term_postings(t).items():
+                    buf.setdefault(fid, []).append(p)
             if not base_terms:
-                # union of postings of all expanded terms, per field
+                # union of postings of all expanded terms per field, tfs
+                # summed
                 out: dict[int, Posting] = {}
-                for t in expanded:
-                    for fid, p in self._term_postings(t).items():
-                        prev = out.get(fid)
-                        if prev is None:
-                            out[fid] = Posting(p.doc_ids.copy(), p.tfs.copy(), None)
-                        else:
-                            ids = np.concatenate([prev.doc_ids, p.doc_ids])
-                            tfs = np.concatenate([prev.tfs, p.tfs])
-                            uids, inv = np.unique(ids, return_inverse=True)
-                            agg = np.zeros(uids.size, dtype=np.uint64)
-                            np.add.at(agg, inv, tfs)
-                            out[fid] = Posting(uids, agg, None)
+                for fid, ps in buf.items():
+                    uids, inv = np.unique(
+                        np.concatenate([p.doc_ids for p in ps]),
+                        return_inverse=True)
+                    agg = np.zeros(uids.size, dtype=np.uint64)
+                    np.add.at(agg, inv, np.concatenate([p.tfs for p in ps]))
+                    out[fid] = Posting(uids, agg, None)
                 return out
             # phrase ending in prefix (ES match_phrase_prefix): the final
             # slot matches ANY dictionary expansion of the prefix; the
             # union occurrence set is built per field with positions so
             # the standard adjacency kernel below runs unchanged
-            buf: dict[int, list] = {}
-            for t in expanded:
-                for fid, p in self._term_postings(t).items():
-                    buf.setdefault(fid, []).append(p)
             per_last: dict[int, Posting] = {}
             for fid, ps in buf.items():
                 if any(p.positions is None for p in ps):
@@ -988,8 +996,9 @@ class SearchEngine:
 
     def _score(self, cq: CompiledQuery, weights: np.ndarray,
                stats_override: dict | None = None):
-        """Returns (doc_ids, rank) where rank is the NEGATED FTS5 bm25 sum
-        (ORDER BY rank ASC = best first).
+        """Returns (rows, rank): the ascending doc-meta rows of the match
+        set and their NEGATED FTS5 bm25 sum (ORDER BY rank ASC = best
+        first).
 
         ``stats_override`` = {"n_docs": N, "avgdl": x, "dfs": {arm_key:
         df}} replaces the LOCAL corpus statistics with cluster-global
@@ -1062,9 +1071,8 @@ class SearchEngine:
                 for r in self._posting_rows(posts).values():
                     mask[r] = False
         rows = np.flatnonzero(mask)
-        match = self.index.meta(self.index.id_column)[rows]
         if rows.size == 0:
-            return match, np.empty(0, np.float64)
+            return rows, np.empty(0, np.float64)
 
         dl = self.index.meta("dl_total")
 
@@ -1129,30 +1137,30 @@ class SearchEngine:
                 contrib = term_idf * (tfw * (K1 + 1.0)) / np.where(
                     denom > 0, denom, 1.0)
                 np.add(score, np.where(tfw > 0, contrib, 0.0), out=score)
-        rank = -score
-        return match, rank
+        return rows, -score
 
     # ---------------- filters -----------------------------------------
     _OPS = {"=", "!=", "<", ">", "<=", ">=", "in", "not in", "between",
             "like", "not like", "contains", "is null", "is not null",
             "exists", "not exists", "=?"}
 
-    def _apply_filters(self, doc_ids: np.ndarray, filters, language: str | None):
-        if doc_ids.size == 0:
+    def _apply_filters(self, rows: np.ndarray, filters, language: str | None):
+        """Mask of the doc-meta ``rows`` that pass ``language`` and every
+        filter (values read at the rows of the resident columns)."""
+        if rows.size == 0:
             return np.ones(0, dtype=bool)
-        mask = np.ones(doc_ids.size, dtype=bool)
+        mask = np.ones(rows.size, dtype=bool)
         if language and self.index.language_column:
-            vals = self.index.meta_for(self.index.language_column, doc_ids)
-            mask &= vals == language
+            mask &= self.index.meta(self.index.language_column)[rows] == language
         for f in filters or []:
             col, op, value = f["field"], f.get("operator", "=").lower(), f.get("value")
             if op not in self._OPS:
                 raise ValueError(f"unsupported filter operator: {op}")
             if op in ("exists", "not exists"):
                 have = self.index.has_meta(col)
-                mask &= np.full(doc_ids.size, have if op == "exists" else not have)
+                mask &= np.full(rows.size, have if op == "exists" else not have)
                 continue
-            vals = self.index.meta_for(col, doc_ids)
+            vals = self.index.meta(col)[rows]
             # as in SQLite, a NULL (None or NaN) value makes !=, NOT IN,
             # LIKE and NOT LIKE unknown, and the row is dropped
             if op in ("!=", "not in", "like", "not like"):
@@ -1214,95 +1222,157 @@ class SearchEngine:
     # ---------------- public API ---------------------------------------
     def search(self, query: str, **options) -> pa.Table:
         """Ranked page for ``query``; ``options`` are the fields of
-        ``SearchRequest`` (an unknown one raises ``TypeError``)."""
+        ``SearchRequest`` (an unknown one raises ``TypeError``).
+
+        Stages: compile (``_compile_search``) → candidates (``_candidates``:
+        the live, allowed, filtered match set as doc-meta rows) → the
+        score modifiers ``_stages`` lists → select (``_select``: top-k
+        order, cut to the rows the page reads) → page (``_page``: doc
+        ids, re-ranking, slice, normalization) → gather (``_gather``)."""
         req = SearchRequest(query, **options)
-        limit, offset = min(int(req.limit), MAX_RESULTS), req.offset
-        # ---- query cache (reference QueryCache §2.3: TTL + LRU, keyed on
-        # the index's mutation version so writes invalidate) ----
-        cache_key = None
-        if self._cache_ttl > 0:
-            cache_key = req.key(self.index.mutation_version)
-            hit = self._result_cache.get(cache_key)
-            if hit is not None:
-                expiry, table = hit
-                if time.time() < expiry:
-                    self._result_cache.move_to_end(cache_key)
-                    self._cache_hits += 1
-                    return table
-                del self._result_cache[cache_key]
-            self._cache_misses += 1
-            if self._persistent is not None:
-                # cross-process tier: the version is already the last
-                # element of cache_key, so a mutated index never hits
-                pt = self._persistent.get(
-                    self._index_name, {"key": repr(cache_key)},
-                    version=cache_key[-1])
-                if pt is not None:
-                    self._cache_store(cache_key, pt)
-                    return pt
-        weights = self._field_weight_vector(req.field_weights
-                                            or self.default_weights)
+        cache_key, out = self._cache_lookup(req)
+        if out is not None:
+            return out
         cq, query, orig_terms = self._compile_search(req)
         if not cq.phrases:
             return self._empty_result(req.with_docs)
-        doc_ids, rank = self._score(cq, weights)
-        if doc_ids.size and self.index.tombstones.size:
-            live = ~np.isin(doc_ids, self.index.tombstones)
-            doc_ids, rank = doc_ids[live], rank[live]
-        if req.restrict_ids is not None and doc_ids.size:
-            # ES `ids` / terms-by-_id filter (extension): prune the
-            # match set to an explicit doc-id allowlist; scoring
-            # (df/idf/dl) is unaffected, like exclude_terms.
-            allow = np.asarray(req.restrict_ids, dtype=np.uint64)
-            keep = np.isin(doc_ids, allow)
-            doc_ids, rank = doc_ids[keep], rank[keep]
-        if doc_ids.size and (req.filters or req.language):
-            keep = self._apply_filters(doc_ids, req.filters, req.language)
-            doc_ids, rank = doc_ids[keep], rank[keep]
-        if req.rank_column and req.rank_weight and doc_ids.size:
-            # static-rank doc boost (ES function_score
-            # field_value_factor(log1p) shape, an extension): blend a
-            # stored numeric column into the score BEFORE sorting.
-            # add:      score += w * ln(1 + max(v, 0))
-            # multiply: score *= 1 + w * ln(1 + max(v, 0))
-            if req.rank_mode not in ("add", "multiply"):
-                raise ValueError("rank_mode must be 'add' or 'multiply'")
-            vals = self.index.meta_for(req.rank_column, doc_ids)
-            f = np.log1p(np.maximum(np.asarray(vals, np.float64), 0.0))
-            s = np.abs(rank)
-            s = (s * (1.0 + req.rank_weight * f) if req.rank_mode == "multiply"
-                 else s + req.rank_weight * f)
-            rank = -s
-        if req.decay_column and req.decay_scale > 0 and doc_ids.size:
-            # ES function_score gauss decay (extension): multiply the
-            # score by exp(-max(0, |v-origin|-offset)^2 / (2*scale^2))
-            # over the FULL match set, BEFORE sorting/pagination, so
-            # decay can promote docs from outside the BM25 page.
-            vals = np.asarray(self.index.meta_for(req.decay_column, doc_ids),
-                              np.float64)
-            d = np.maximum(
-                np.abs(vals - float(req.decay_origin)) - float(req.decay_offset),
-                0.0)
-            rank = -(np.abs(rank)
-                     * np.exp(-(d * d) / (2.0 * float(req.decay_scale) ** 2)))
-        if req.negative_terms and doc_ids.size:
-            # ES `boosting` query (extension): docs matching ANY of the
-            # negative terms keep their positive score multiplied by
-            # negative_boost — a demotion, never an exclusion.  Applied
-            # over the FULL match set BEFORE sorting/pagination, so a
-            # demoted doc can fall out of (and a clean doc rise into)
-            # the page, exactly like the decay multiplier above.
-            neg = np.zeros(doc_ids.size, dtype=bool)
-            for nt in req.negative_terms:
-                ids = self.match_ids(str(nt), mode="or")
-                if ids.size:
-                    neg |= np.isin(doc_ids, ids)
-            s = np.abs(rank)
-            s[neg] *= float(req.negative_boost)
-            rank = -s
-        distances = None
-        if req.geo_filters and doc_ids.size:
-            doc_ids, rank, distances = self._apply_geo(doc_ids, rank, req.geo_filters)
+        hits = _Hits(*self._candidates(cq, self._weights(req), req))
+        for _, stage in self._stages(req):
+            if not hits.rows.size:
+                break
+            stage(req, hits)
+        self._select(req, hits)
+        out = self._gather(req, cq, *self._page(req, cq, hits, orig_terms))
+        if req.enable_suggestions and out.num_rows == 0:
+            # reference attaches a did-you-mean to empty result sets
+            # (SearchEngine.php:238-249 -> generateSuggestion); the Arrow
+            # mapping is schema metadata on the (empty) result table
+            sug = self.suggest(query)
+            if sug.num_rows:
+                out = out.replace_schema_metadata(
+                    {b"suggestion": sug["suggestion"][0].as_py().encode()})
+        if cache_key is not None:
+            self._cache_store(cache_key, out)
+            if self._persistent is not None:
+                self._persistent.set(
+                    self._index_name, {"key": repr(cache_key)}, out,
+                    ttl=int(self._cache_ttl), version=cache_key[-1])
+        return out
+
+    def _cache_lookup(self, req: SearchRequest):
+        """(result-cache key, cached table or None); the key is None when
+        caching is off.  Reference QueryCache §2.3: TTL + LRU, keyed on
+        the index's mutation version so writes invalidate."""
+        if self._cache_ttl <= 0:
+            return None, None
+        cache_key = req.key(self.index.mutation_version)
+        hit = self._result_cache.get(cache_key)
+        if hit is not None:
+            expiry, table = hit
+            if time.time() < expiry:
+                self._result_cache.move_to_end(cache_key)
+                self._cache_hits += 1
+                return cache_key, table
+            del self._result_cache[cache_key]
+        self._cache_misses += 1
+        if self._persistent is not None:
+            # cross-process tier: the version is already the last
+            # element of cache_key, so a mutated index never hits
+            pt = self._persistent.get(
+                self._index_name, {"key": repr(cache_key)},
+                version=cache_key[-1])
+            if pt is not None:
+                self._cache_store(cache_key, pt)
+                return cache_key, pt
+        return cache_key, None
+
+    def _weights(self, req: SearchRequest) -> np.ndarray:
+        return self._field_weight_vector(req.field_weights
+                                         or self.default_weights)
+
+    def _candidates(self, cq: CompiledQuery, weights: np.ndarray,
+                    req: SearchRequest, stats_override: dict | None = None):
+        """(rows, rank) of the match set of ``cq`` under ``req``: scored
+        (``_score``), then deleted docs dropped (``IndexReader.live``),
+        then rows outside ``restrict_ids``, then rows failing ``filters``
+        / ``language``.  Rows ascend, and so do their doc ids.  The one
+        candidate stage of ``search()``, ``match_ids()``/``count()``, the
+        ``negative_terms`` demotion and the doc-sharded shards."""
+        if not cq.phrases:
+            return np.empty(0, np.intp), np.empty(0, np.float64)
+        rows, rank = self._score(cq, weights, stats_override)
+        if rows.size and self.index.tombstones.size:
+            keep = self.index.live[rows]
+            rows, rank = rows[keep], rank[keep]
+        if rows.size and req.restrict_ids is not None:
+            # ES `ids` / terms-by-_id filter (extension): prune the match
+            # set to an explicit doc-id allowlist; scoring (df/idf/dl) is
+            # unaffected, like exclude_terms.
+            keep = np.isin(self.index.meta(self.index.id_column)[rows],
+                           np.asarray(req.restrict_ids, dtype=np.uint64))
+            rows, rank = rows[keep], rank[keep]
+        if rows.size and (req.filters or req.language):
+            keep = self._apply_filters(rows, req.filters, req.language)
+            rows, rank = rows[keep], rank[keep]
+        return rows, rank
+
+    def _stages(self, req: SearchRequest) -> list:
+        """(name, method) of the score modifiers ``search()`` runs on the
+        candidates, in order, before the top-k selection; ``explain()``
+        reports the names as ``plan["stages"]``.  Each acts on the full
+        candidate set, so it can promote a doc from outside the BM25
+        page."""
+        return [(name, fn) for name, on, fn in (
+            ("rank_boost", req.rank_column and req.rank_weight,
+             self._rank_boost),
+            ("decay", req.decay_column and req.decay_scale > 0, self._decay),
+            ("negative_terms", req.negative_terms, self._demote),
+            ("geo", req.geo_filters, self._apply_geo),
+        ) if on]
+
+    def _rank_boost(self, req: SearchRequest, hits: _Hits) -> None:
+        """Static-rank doc boost (ES function_score
+        field_value_factor(log1p) shape, an extension): blend a stored
+        numeric column into the score.
+        add:      score += w * ln(1 + max(v, 0))
+        multiply: score *= 1 + w * ln(1 + max(v, 0))"""
+        if req.rank_mode not in ("add", "multiply"):
+            raise ValueError("rank_mode must be 'add' or 'multiply'")
+        vals = self.index.meta(req.rank_column)[hits.rows]
+        f = np.log1p(np.maximum(np.asarray(vals, np.float64), 0.0))
+        s = np.abs(hits.rank)
+        s = (s * (1.0 + req.rank_weight * f) if req.rank_mode == "multiply"
+             else s + req.rank_weight * f)
+        hits.rank = -s
+
+    def _decay(self, req: SearchRequest, hits: _Hits) -> None:
+        """ES function_score gauss decay (extension): multiply the score
+        by exp(-max(0, |v-origin|-offset)^2 / (2*scale^2))."""
+        vals = np.asarray(self.index.meta(req.decay_column)[hits.rows],
+                          np.float64)
+        d = np.maximum(
+            np.abs(vals - float(req.decay_origin)) - float(req.decay_offset),
+            0.0)
+        hits.rank = -(np.abs(hits.rank)
+                      * np.exp(-(d * d) / (2.0 * float(req.decay_scale) ** 2)))
+
+    def _demote(self, req: SearchRequest, hits: _Hits) -> None:
+        """ES `boosting` query (extension): docs matching ANY of the
+        negative terms (an OR query each) keep their positive score
+        multiplied by negative_boost — a demotion, never an exclusion."""
+        neg = np.zeros(hits.rows.size, dtype=bool)
+        for nt in req.negative_terms:
+            neg |= np.isin(hits.rows, self._match_rows(str(nt), mode="or"))
+        s = np.abs(hits.rank)
+        s[neg] *= float(req.negative_boost)
+        hits.rank = -s
+
+    def _select(self, req: SearchRequest, hits: _Hits) -> None:
+        """ORDER BY rank ASC, doc_id ASC (reference :1096) — or an
+        explicit column sort (reference :1106-1128) — cut to the rows
+        the page reads, then min_score on the abs score (processResults
+        :717-729)."""
+        limit, offset = min(int(req.limit), MAX_RESULTS), req.offset
         # widen before dedup (reference widens to max_results :129-137);
         # post_rescore must keep the full clamp(limit*20, 200, 2000)
         # candidate pool alive so rescoring can promote docs from outside
@@ -1315,44 +1385,40 @@ class SearchEngine:
             page_n = offset + limit
         # rows of the ranked order read below: the distance re-sort
         # draws from the first clamp(limit*20, 200, MAX_RESULTS)
-        by_distance = distances is not None and req.geo_filters.get("sort_by_distance")
+        by_distance = (hits.distances is not None
+                       and req.geo_filters.get("sort_by_distance"))
         need = MAX_RESULTS if by_distance else page_n
         if min(offset, limit) < 0:  # negative slices read from the end
-            need = doc_ids.size
-        # ORDER BY rank ASC, doc_id ASC  (reference :1096) over the rows
-        # at or above the need-th rank, ties kept — or an explicit column
-        # sort (reference :1106-1128: direct/metadata columns)
-        if req.sort is not None and doc_ids.size:
+            need = hits.rows.size
+        if req.sort is not None and hits.rows.size:
             col, direction = (req.sort if isinstance(req.sort, (tuple, list))
                               else (req.sort, "asc"))
-            vals = self.index.meta_for(col, doc_ids)
-            key = np.argsort(vals, kind="stable")
+            order = np.argsort(self.index.meta(col)[hits.rows], kind="stable")
             if str(direction).lower().startswith("desc"):
-                key = key[::-1]
-            order = key
+                order = order[::-1]
         else:
-            order = topk_order(rank, doc_ids, need)
-        doc_ids, rank = doc_ids[order], rank[order]
-        if distances is not None:
-            distances = distances[order]
-            if by_distance:
-                # reference two-phase fallback (:1086-1098,:1237-1262):
-                # widen candidates by rank, then re-sort by distance
-                widen = int(np.clip(limit * 20, 200, 1000))
-                doc_ids, rank = doc_ids[:widen], rank[:widen]
-                distances = distances[:widen]
-                o2 = np.lexsort((doc_ids, distances))
-                doc_ids, rank, distances = doc_ids[o2], rank[o2], distances[o2]
-        doc_ids, rank = doc_ids[:page_n], rank[:page_n]
-        score = np.abs(rank)
-        if distances is not None:
-            distances = distances[: doc_ids.size]
-        # min_score on abs score (processResults :717-729)
+            # rows at or above the need-th rank, ties kept; rows ascend
+            # with doc id, so they break rank ties as doc ids do
+            order = topk_order(hits.rank, hits.rows, need)
+        hits.take(order)
+        if by_distance:
+            # reference two-phase fallback (:1086-1098,:1237-1262):
+            # widen candidates by rank, then re-sort by distance
+            hits.take(slice(int(np.clip(limit * 20, 200, 1000))))
+            hits.take(np.lexsort((hits.rows, hits.distances)))
+        hits.take(slice(page_n))
         if req.min_score > 0:
-            keep = score >= req.min_score
-            doc_ids, rank, score = doc_ids[keep], rank[keep], score[keep]
-            if distances is not None:
-                distances = distances[keep]
+            hits.take(np.abs(hits.rank) >= req.min_score)
+
+    def _page(self, req: SearchRequest, cq: CompiledQuery, hits: _Hits,
+              orig_terms: list):
+        """(doc ids, scores, distances or None) of the page: the selected
+        rows' doc ids — the only ones a search materializes — re-ranked
+        by post_rescore, the fuzzy penalty and route dedup when asked,
+        sliced, normalized and distance-blended."""
+        limit, offset = min(int(req.limit), MAX_RESULTS), req.offset
+        doc_ids = self.index.meta(self.index.id_column)[hits.rows]
+        score, distances = np.abs(hits.rank), hits.distances
         if req.post_rescore and doc_ids.size:
             # candidate widening then PHP-style rescore + resort
             # (reference :901-913, :1226-1234: clamp(limit·20, 200, 2000))
@@ -1364,15 +1430,12 @@ class SearchEngine:
                 req.field_weights or self.default_weights or {})
             order = np.lexsort((doc_ids, -score))
             doc_ids, score = doc_ids[order], score[order]
-            rank = -score
         if req.fuzzy and doc_ids.size and orig_terms:
             score = self._apply_fuzzy_penalty(doc_ids, score, orig_terms)
             order = np.lexsort((doc_ids, -score))  # re-sort after penalty
             doc_ids, score = doc_ids[order], score[order]
-            rank = -score
         if req.unique_by_route and req.route_column:
             doc_ids, score = self._dedup_by_route(doc_ids, score, req.route_column)
-            rank = -score
             distances = None  # representative rows reordered
         # page slice
         doc_ids = doc_ids[offset : offset + limit]
@@ -1387,13 +1450,17 @@ class SearchEngine:
         # distance blend (§2.9 step 5): after normalization, then re-sort
         # the page by the blended score
         if distances is not None and req.distance_weight > 0 and score.size:
-            from ..functions.geo import distance_blend
-
             score = distance_blend(score, distances, weight=req.distance_weight)
             o3 = np.lexsort((doc_ids, -score))
             doc_ids, score, distances = doc_ids[o3], score[o3], distances[o3]
         if req.round_scores is not None:
             score = np.round(score, req.round_scores)
+        return doc_ids, score, distances
+
+    def _gather(self, req: SearchRequest, cq: CompiledQuery, doc_ids,
+                score, distances) -> pa.Table:
+        """The result table of the page: ids, scores and distances, plus
+        stored columns and highlights when asked."""
         cols = {"doc_id": pa.array(doc_ids, pa.uint64()),
                 "score": pa.array(score, pa.float64())}
         if distances is not None:
@@ -1418,20 +1485,6 @@ class SearchEngine:
                 snips = [make_snippet(s, terms)
                          for s in dt[body_col].to_pylist()]
                 out = out.append_column("highlight", pa.array(snips, pa.string()))
-        if req.enable_suggestions and out.num_rows == 0:
-            # reference attaches a did-you-mean to empty result sets
-            # (SearchEngine.php:238-249 -> generateSuggestion); the Arrow
-            # mapping is schema metadata on the (empty) result table
-            sug = self.suggest(query)
-            if sug.num_rows:
-                out = out.replace_schema_metadata(
-                    {b"suggestion": sug["suggestion"][0].as_py().encode()})
-        if cache_key is not None:
-            self._cache_store(cache_key, out)
-            if self._persistent is not None:
-                self._persistent.set(
-                    self._index_name, {"key": repr(cache_key)}, out,
-                    ttl=int(self._cache_ttl), version=cache_key[-1])
         return out
 
     def _cache_store(self, key: tuple, table: pa.Table) -> None:
@@ -1536,35 +1589,29 @@ class SearchEngine:
         return " ".join(out)
 
     # ---------------- geo ---------------------------------------------
-    def _apply_geo(self, doc_ids, rank, geo_filters: dict):
+    def _apply_geo(self, req: SearchRequest, hits: _Hits) -> None:
         """Geo filters over candidate metadata (reference near/within,
         :2128-2201): ``near {lat, lng, radius_km}`` = bbox prefilter +
         haversine radius; ``within {bounds: (min_lat, max_lat, min_lng,
         max_lng)}``.  Lat/lng come from docstore metadata columns
-        (default ``lat``/``lng``)."""
-        from ..functions.geo import haversine_km, in_bounds, near_mask
-
-        lat_col = geo_filters.get("lat_column", "lat")
-        lng_col = geo_filters.get("lng_column", "lng")
-        lats = self.index.meta_for(lat_col, doc_ids).astype(np.float64)
-        lngs = self.index.meta_for(lng_col, doc_ids).astype(np.float64)
-        distances = None
-        mask = np.ones(doc_ids.size, dtype=bool)
-        near = geo_filters.get("near")
+        (default ``lat``/``lng``).  Distances are from ``near``'s point,
+        else from ``distance_from``'s."""
+        geo = req.geo_filters
+        lats = self.index.meta(geo.get("lat_column", "lat"))[hits.rows]
+        lngs = self.index.meta(geo.get("lng_column", "lng"))[hits.rows]
+        lats, lngs = lats.astype(np.float64), lngs.astype(np.float64)
+        mask = np.ones(hits.rows.size, dtype=bool)
+        near = geo.get("near")
         if near:
             mask &= near_mask(lats, lngs, near["lat"], near["lng"],
                               near["radius_km"])
-            distances = haversine_km(lats, lngs, near["lat"], near["lng"])
-        within = geo_filters.get("within")
+        within = geo.get("within")
         if within:
             mask &= in_bounds(lats, lngs, within["bounds"])
-        ref = geo_filters.get("distance_from") or near
-        if distances is None and ref:
-            distances = haversine_km(lats, lngs, ref["lat"], ref["lng"])
-        doc_ids, rank = doc_ids[mask], rank[mask]
-        if distances is not None:
-            distances = distances[mask]
-        return doc_ids, rank, distances
+        ref = near or geo.get("distance_from")
+        if ref:
+            hits.distances = haversine_km(lats, lngs, ref["lat"], ref["lng"])
+        hits.take(mask)
 
     # ---------------- fuzzy -------------------------------------------
     def _compile_fuzzy(self, query: str, fuzzy_mode: str):
@@ -1612,29 +1659,22 @@ class SearchEngine:
     def _apply_fuzzy_penalty(self, doc_ids, score, orig_terms):
         """Penalty layer (§2.9 step 4): per-candidate match quality vs the
         ORIGINAL query terms decides the multiplier."""
-        from .fuzzy import fuzzy_penalty
+        def present(posts) -> np.ndarray:  # doc_ids holding the arm
+            hit = np.zeros(doc_ids.size, dtype=bool)
+            for p in posts.values():
+                if p.doc_ids.size:
+                    idx = np.clip(np.searchsorted(p.doc_ids, doc_ids), 0,
+                                  p.doc_ids.size - 1)
+                    hit |= p.doc_ids[idx] == doc_ids
+            return hit
 
         n_present = np.zeros(doc_ids.size, dtype=np.int64)
         for t in orig_terms:
-            posts = self._term_postings(t)
-            present = np.zeros(doc_ids.size, dtype=bool)
-            for p in posts.values():
-                if p.doc_ids.size == 0:
-                    continue
-                idx = np.clip(np.searchsorted(p.doc_ids, doc_ids), 0,
-                              p.doc_ids.size - 1)
-                present |= p.doc_ids[idx] == doc_ids
-            n_present += present
+            n_present += present(self._term_postings(t))
         # exact-phrase presence (only meaningful for multi-term queries)
-        phrase_present = np.zeros(doc_ids.size, dtype=bool)
-        if len(orig_terms) > 1:
-            pp = self._phrase_postings(Phrase(list(orig_terms)))
-            for p in pp.values():
-                if p.doc_ids.size == 0:
-                    continue
-                idx = np.clip(np.searchsorted(p.doc_ids, doc_ids), 0,
-                              p.doc_ids.size - 1)
-                phrase_present |= p.doc_ids[idx] == doc_ids
+        phrase_present = (present(self._phrase_postings(Phrase(list(orig_terms))))
+                          if len(orig_terms) > 1
+                          else np.zeros(doc_ids.size, dtype=bool))
         nt = max(1, len(orig_terms))
         penalties = np.fromiter(
             (fuzzy_penalty(bool(phrase_present[i]),
@@ -1649,19 +1689,12 @@ class SearchEngine:
         """Did-you-mean (reference ``SearchEngine::suggest`` :2215-2373):
         per-token correction, verified to have hits, with confidence."""
         tokens = [t for g in self.analyzer.match_terms(query) for t in g]
-        if not tokens:
-            return pa.table({"suggestion": pa.array([], pa.string()),
-                             "confidence": pa.array([], pa.float64()),
-                             "count": pa.array([], pa.int64())})
-        corrected, conf, changed = self.fuzzy_matcher.suggest_tokens(tokens)
+        corrected, conf, changed = (self.fuzzy_matcher.suggest_tokens(tokens)
+                                    if tokens else ([], 0.0, False))
         suggestion = " ".join(corrected)
-        if not changed:
-            return pa.table({"suggestion": pa.array([], pa.string()),
-                             "confidence": pa.array([], pa.float64()),
-                             "count": pa.array([], pa.int64())})
         # the reference verifies the composed suggestion with a DEFAULT
         # (smart) SearchQuery count, not an AND (SearchEngine.php:2254)
-        n = self.count(suggestion)
+        n = self.count(suggestion) if changed else 0
         if n == 0:
             return pa.table({"suggestion": pa.array([], pa.string()),
                              "confidence": pa.array([], pa.float64()),
@@ -1767,8 +1800,6 @@ class SearchEngine:
                          normalize=False, **kwargs)
         p2 = self.search(query, limit=max(100, limit), field_weights=fw or None,
                          normalize=False, **kwargs)
-        import pandas as pd
-
         d1 = p1.to_pandas()
         d1["score"] = d1["score"] * primary_boost
         d2 = p2.to_pandas()
@@ -1778,6 +1809,23 @@ class SearchEngine:
         return pa.Table.from_pandas(merged.reset_index(drop=True),
                                     preserve_index=False)
 
+    def _top_rows(self, query: str, candidates: int, kwargs: dict):
+        """(doc ids, doc-meta rows) of the top-``candidates`` raw-score
+        results of ``search(query, **kwargs)``."""
+        r = self.search(query, limit=candidates, normalize=False, **kwargs)
+        ids = r["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        return ids, self.index.rows_of(ids)
+
+    def _values_at(self, ids, rows, field: str) -> np.ndarray:
+        """``field`` at result ``ids`` (their doc-meta ``rows``).  A column
+        the reader does not hold reads the docstore; result ids always
+        have a row, so the ``KeyError`` caught is the column's."""
+        try:
+            return self.index.meta(field)[rows]
+        except KeyError:
+            return self.index.docs(ids, columns=[self.index.id_column, field])[
+                field].to_numpy(zero_copy_only=False)
+
     def facets(self, query: str, facet_fields, *, candidates: int = 1000,
                min_count: int = 1, top_n: int = 10,
                **search_kwargs) -> dict[str, pa.Table]:
@@ -1785,19 +1833,10 @@ class SearchEngine:
         preserved (``computeFacets`` :1187-1307): counts come from the
         TOP-``candidates`` (1000) results only, min_count filter, count
         desc, top-N."""
-        r = self.search(query, limit=candidates, normalize=False,
-                        **search_kwargs)
-        ids = r["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        ids, rows = self._top_rows(query, candidates, search_kwargs)
         out: dict[str, pa.Table] = {}
         for field in facet_fields:
-            try:
-                vals = self.index.meta_for(field, ids)
-            except KeyError:
-                docs = self.index.docs(ids, columns=[self.index.id_column, field])
-                vals = docs[field].to_numpy(zero_copy_only=False)
-            import pandas as pd
-
-            counts = pd.Series(vals).value_counts()
+            counts = pd.Series(self._values_at(ids, rows, field)).value_counts()
             counts = counts[counts >= min_count]
             df = counts.reset_index()
             df.columns = ["value", "count"]
@@ -1820,18 +1859,11 @@ class SearchEngine:
         (v = the column value), plus the standard open-ended last
         bucket ``v >= edges[-1]``.  Empty buckets are kept (count 0) so
         the histogram shape is stable across queries."""
-        r = self.search(query, limit=candidates, normalize=False,
-                        **search_kwargs)
-        ids = r["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        ids, rows = self._top_rows(query, candidates, search_kwargs)
         edges = np.asarray(list(edges), dtype=np.float64)
         if edges.size < 1 or np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be ascending and non-empty")
-        try:
-            vals = self.index.meta_for(field, ids)
-        except KeyError:
-            docs = self.index.docs(ids, columns=[self.index.id_column, field])
-            vals = docs[field].to_numpy(zero_copy_only=False)
-        v = np.asarray(vals, dtype=np.float64)
+        v = np.asarray(self._values_at(ids, rows, field), dtype=np.float64)
         v = v[~np.isnan(v)]
         # bucket i = [edges[i], edges[i+1]); values below edges[0] drop
         idx = np.searchsorted(edges, v, side="right") - 1
@@ -1848,19 +1880,14 @@ class SearchEngine:
                         *, candidates: int = 1000, **kwargs) -> pa.Table:
         """Distance-bucket facets (reference :1193-1258): count matches per
         radius threshold around a center point."""
-        from ..functions.geo import haversine_km
-
         if query.strip() in ("", "*"):
             # geo-only facets (reference CLI facets-distance passes query
             # '', bin/yetisearch:200-218): bucket ALL live docs
-            ids = self.index.meta(self.index.id_column).astype(np.uint64)
-            if self.index.tombstones.size:
-                ids = ids[~np.isin(ids, self.index.tombstones)]
+            rows = np.flatnonzero(self.index.live)
         else:
-            r = self.search(query, limit=candidates, normalize=False, **kwargs)
-            ids = r["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        lats = self.index.meta_for(center.get("lat_column", "lat"), ids)
-        lngs = self.index.meta_for(center.get("lng_column", "lng"), ids)
+            _, rows = self._top_rows(query, candidates, kwargs)
+        lats = self.index.meta(center.get("lat_column", "lat"))[rows]
+        lngs = self.index.meta(center.get("lng_column", "lng"))[rows]
         d = haversine_km(lats.astype(np.float64), lngs.astype(np.float64),
                          center["lat"], center["lng"])
         labels, counts = [], []
@@ -1876,11 +1903,10 @@ class SearchEngine:
         reference documents but stubs out (``README:1382-1396``,
         ``SearchEngine.php:1309-1314`` returns []).  ``aggregations`` maps
         column -> list of ops in {avg, min, max, sum, count}."""
-        r = self.search(query, limit=candidates, normalize=False, **kwargs)
-        ids = r["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        ids, rows = self._top_rows(query, candidates, kwargs)
         cols = {"aggregation": [], "value": []}
         for field, ops in aggregations.items():
-            vals = self.index.meta_for(field, ids).astype(np.float64)
+            vals = self.index.meta(field)[rows].astype(np.float64)
             for op in ops:
                 fn = {"avg": np.mean, "min": np.min, "max": np.max,
                       "sum": np.sum, "count": np.size}[op]
@@ -1892,24 +1918,41 @@ class SearchEngine:
     def knn(self, center: dict, k: int = 10) -> pa.Table:
         """Geo k-NN fast path (reference :916-989): ignore text, nearest
         ``k`` docs by haversine distance, optional max_distance clamp."""
-        from ..functions.geo import haversine_km
-
         k = min(int(k), MAX_RESULTS)
         ids = self.index.meta(self.index.id_column)
         lats = self.index.meta(center.get("lat_column", "lat")).astype(np.float64)
         lngs = self.index.meta(center.get("lng_column", "lng")).astype(np.float64)
         d = haversine_km(lats, lngs, center["lat"], center["lng"])
+        keep = self.index.live
         if center.get("max_distance_km") is not None:
-            keep = d <= center["max_distance_km"]
-            ids, d = ids[keep], d[keep]
-        if self.index.tombstones.size:
-            keep = ~np.isin(ids, self.index.tombstones)
-            ids, d = ids[keep], d[keep]
+            keep = keep & (d <= center["max_distance_km"])
+        ids, d = ids[keep], d[keep]
         order = np.lexsort((ids, d))[:k]
         return pa.table({
             "doc_id": pa.array(ids[order].astype(np.uint64), pa.uint64()),
             "distance_km": pa.array(np.round(d[order], 4), pa.float64()),
         })
+
+    def _source_row(self, caller: str, doc_id: int):
+        """(indexed source columns, the doc's stored row of them).  Raises
+        ValueError if the docstore does not hold them, KeyError for an
+        unknown doc."""
+        cfg = self.index.manifest.data.get("config") or {}
+        src_cols = [f[1] for f in cfg.get("fields", [])]
+        missing = [c for c in src_cols
+                   if c not in set(cfg.get("store_columns") or [])]
+        if missing:
+            raise ValueError(f"{caller} needs stored source columns; not "
+                             f"in docstore: {missing}")
+        t = self.index.docs([doc_id], columns=src_cols)
+        if t.num_rows == 0:
+            raise KeyError(f"doc_id {doc_id} not found")
+        return src_cols, t
+
+    def _df(self, term: str) -> int:
+        """Union-of-fields document frequency of ``term`` (BM25's df)."""
+        arrs = [p.doc_ids for p in self._term_postings(term).values()]
+        return int(np.unique(np.concatenate(arrs)).size) if arrs else 0
 
     def more_like_this(self, doc_id: int, *, limit: int = 10,
                        max_terms: int = 10, mode: str = "or",
@@ -1933,21 +1976,7 @@ class SearchEngine:
         index does not store its indexed source columns (MLT needs the
         original text).
         """
-        from collections import Counter
-
-        from ..analysis.tokenizer import tokenize as _index_tok
-
-        cfg = self.index.manifest.data.get("config") or {}
-        src_cols = [f[1] for f in cfg.get("fields", [])]
-        stored = set(cfg.get("store_columns") or [])
-        missing = [c for c in src_cols if c not in stored]
-        if missing:
-            raise ValueError(
-                f"more_like_this needs stored source columns; not in "
-                f"docstore: {missing}")
-        t = self.index.docs([doc_id], columns=src_cols)
-        if t.num_rows == 0:
-            raise KeyError(f"doc_id {doc_id} not found")
+        src_cols, t = self._source_row("more_like_this", doc_id)
         tf: Counter = Counter()
         for c in src_cols:
             tf.update(_index_tok(t[c][0].as_py() or ""))
@@ -1958,9 +1987,7 @@ class SearchEngine:
             # keep only terms the query compiler would keep, verbatim
             if self.analyzer.match_terms(term) != [[term]]:
                 continue
-            posts = self._term_postings(term)
-            arrs = [p.doc_ids for p in posts.values()]
-            df = int(np.unique(np.concatenate(arrs)).size) if arrs else 0
+            df = self._df(term)
             if df <= 0:
                 continue
             # rounded so the DuckDB oracle's ln() agrees on ties
@@ -2052,8 +2079,6 @@ class SearchEngine:
         term.  Raises ValueError on phrase/NEAR queries (window-kernel
         arms have no per-term decomposition) and KeyError for an
         unknown doc."""
-        from .bm25 import bm25_term_score, idf as _idf
-
         cq = compile_query(query, self.analyzer, mode="or")
         if cq.near_terms or any(len(p.terms) != 1 for p in cq.phrases):
             raise ValueError(
@@ -2070,8 +2095,7 @@ class SearchEngine:
             posts = self._term_postings(term)
             if not posts:
                 continue
-            arrs = [p.doc_ids for p in posts.values()]
-            df = int(np.unique(np.concatenate(arrs)).size)
+            df = self._df(term)
             tfw = 0.0
             for fid, p in posts.items():
                 at = np.searchsorted(p.doc_ids, ids[0])
@@ -2107,29 +2131,12 @@ class SearchEngine:
 
         Raises KeyError for an unknown doc and ValueError if the index
         does not store its indexed source columns."""
-        from collections import Counter
-
-        from ..analysis.tokenizer import tokenize as _index_tok
-
-        cfg = self.index.manifest.data.get("config") or {}
-        src_cols = [f[1] for f in cfg.get("fields", [])]
-        stored = set(cfg.get("store_columns") or [])
-        missing = [c for c in src_cols if c not in stored]
-        if missing:
-            raise ValueError(
-                f"term_vectors needs stored source columns; not in "
-                f"docstore: {missing}")
-        t = self.index.docs([doc_id], columns=src_cols)
-        if t.num_rows == 0:
-            raise KeyError(f"doc_id {doc_id} not found")
-        per_field: dict[str, Counter] = {}
-        for c in src_cols:
-            per_field[c] = Counter(_index_tok(t[c][0].as_py() or ""))
+        src_cols, t = self._source_row("term_vectors", doc_id)
+        per_field = {c: Counter(_index_tok(t[c][0].as_py() or ""))
+                     for c in src_cols}
         dfs: dict[str, int] = {}
         for term in set().union(*(c.keys() for c in per_field.values())):
-            posts = self._term_postings(term)
-            arrs = [p.doc_ids for p in posts.values()]
-            dfs[term] = int(np.unique(np.concatenate(arrs)).size) if arrs else 0
+            dfs[term] = self._df(term)
         rows = sorted((fname, term, tf, dfs[term])
                       for fname, ctr in per_field.items()
                       for term, tf in ctr.items())
@@ -2163,6 +2170,15 @@ class SearchEngine:
             return self._empty_result(kwargs.get("with_docs", False))
         return self.search(" ".join(terms), mode="or", limit=limit, **kwargs)
 
+    def _raw_results(self, caller: str, query: str, kwargs: dict) -> pa.Table:
+        """The MAX_RESULTS-clamped raw-score page of ``query`` (the
+        cursor and group readers compare raw scores across rows)."""
+        if kwargs.pop("normalize", False):
+            raise ValueError(f"{caller} needs raw scores; "
+                             "normalize=True is incompatible")
+        kwargs.pop("offset", None)
+        return self.search(query, limit=MAX_RESULTS, normalize=False, **kwargs)
+
     def search_after(self, query: str, *, after_score: float,
                      after_doc_id: int, limit: int = 10,
                      **kwargs) -> pa.Table:
@@ -2180,12 +2196,7 @@ class SearchEngine:
         normalize=True is rejected.  The reachable depth is the same
         MAX_RESULTS clamp the reference applies to offset pagination.
         """
-        if kwargs.get("normalize", False):
-            raise ValueError("search_after needs raw scores; "
-                             "normalize=True is incompatible")
-        kwargs["normalize"] = False
-        kwargs.pop("offset", None)
-        res = self.search(query, limit=MAX_RESULTS, **kwargs)
+        res = self._raw_results("search_after", query, kwargs)
         s = res["score"].to_numpy(zero_copy_only=False)
         d = res["doc_id"].to_numpy(zero_copy_only=False)
         keep = (s < after_score) | ((s == after_score) & (d > after_doc_id))
@@ -2204,19 +2215,12 @@ class SearchEngine:
         ``route, doc_id, score, pos`` (1-based position within group),
         ordered by group rank then position.
         """
-        if kwargs.get("normalize", False):
-            raise ValueError("search_grouped needs raw scores; "
-                             "normalize=True is incompatible")
-        kwargs["normalize"] = False
-        kwargs.pop("offset", None)
-        res = self.search(query, limit=MAX_RESULTS, **kwargs)
+        res = self._raw_results("search_grouped", query, kwargs)
         if res.num_rows == 0:
             return pa.table({"route": pa.array([], pa.string()),
                              "doc_id": pa.array([], pa.int64()),
                              "score": pa.array([], pa.float64()),
                              "pos": pa.array([], pa.int64())})
-        import pandas as pd
-
         d = res["doc_id"].to_numpy(zero_copy_only=False)
         s = res["score"].to_numpy(zero_copy_only=False)
         routes = self.index.meta_for(route_column, d.astype(np.uint64))
@@ -2249,36 +2253,33 @@ class SearchEngine:
                                 pa.array([name] * r.num_rows, pa.string()))
             frames.append(t)
         merged = pa.concat_tables(frames, promote_options="default")
-        import pandas as pd
-
         df = merged.to_pandas().sort_values(
             ["score", "doc_id"], ascending=[False, True]
         ).iloc[offset : offset + limit]
         return pa.Table.from_pandas(df.reset_index(drop=True),
                                     preserve_index=False)
 
-    def count(self, query: str, *, mode: str = "smart", filters=None,
-              language: str | None = None, field_weights=None) -> int:
-        """Size of the live match set; field weights never change it."""
-        return int(self.match_ids(query, mode=mode, filters=filters,
-                                  language=language).size)
+    def count(self, query: str, **options) -> int:
+        """Size of the match set ``match_ids`` returns."""
+        return int(self._match_rows(query, **options).size)
 
-    def match_ids(self, query: str, *, mode: str = "smart",
-                  filters=None, language: str | None = None) -> np.ndarray:
-        """Live doc_ids matching ``query`` (analyzer applied, tombstones
-        and filters honored) — the match SET without scoring/pagination;
-        feeds set-algebra aggregations (adjacency matrix)."""
-        weights = self._field_weight_vector(self.default_weights)
-        cq = compile_query(query, self.analyzer, mode=mode)
-        if not cq.phrases:
-            return np.empty(0, np.uint64)
-        doc_ids, _ = self._score(cq, weights)
-        if doc_ids.size and self.index.tombstones.size:
-            doc_ids = doc_ids[~np.isin(doc_ids, self.index.tombstones)]
-        if doc_ids.size:
-            keep = self._apply_filters(doc_ids, filters, language)
-            doc_ids = doc_ids[keep]
-        return doc_ids
+    def match_ids(self, query: str, **options) -> np.ndarray:
+        """Ascending doc ids of ``search(query, **options)``'s candidate
+        stage and geo filter: compiled as search() compiles (synonyms
+        included), deleted docs, ``restrict_ids``, filters and
+        ``geo_filters`` honored — the match SET without scoring or
+        pagination.  Feeds count(), suggest() and set-algebra
+        aggregations (adjacency matrix)."""
+        return self.index.meta(self.index.id_column)[
+            self._match_rows(query, **options)]
+
+    def _match_rows(self, query: str, **options) -> np.ndarray:
+        req = SearchRequest(query, **options)
+        cq, _, _ = self._compile_search(req)
+        hits = _Hits(*self._candidates(cq, self._weights(req), req))
+        if req.geo_filters and hits.rows.size:
+            self._apply_geo(req, hits)
+        return hits.rows
 
     def explain(self, query: str, **options) -> dict:
         """Query plan introspection — the analog of the reference CLI's
@@ -2286,8 +2287,10 @@ class SearchEngine:
         generated SQL + bind params + EXPLAIN QUERY PLAN.  There is no
         SQL here; the equivalent artifacts are the compiled query (arms,
         mode, NEAR params), the fuzzy rewrite if any, per-arm document
-        frequencies and the posting PARTITIONS each term reads (the I/O
-        plan).  ``options`` are ``search()``'s."""
+        frequencies, the posting PARTITIONS each term reads (the I/O
+        plan) and, as ``stages``, the score modifiers ``search()`` runs
+        on the candidates, in order (``_stages``: the list search()
+        iterates).  ``options`` are ``search()``'s."""
         req = SearchRequest(query, **options)
         cq, query, orig_terms = self._compile_search(req)
         arms = []
@@ -2311,6 +2314,7 @@ class SearchEngine:
             "mode": cq.mode,
             "arms": arms,
             "exclude": [list(p.terms) for p in cq.exclude],
+            "stages": [name for name, _ in self._stages(req)],
             "stats": {"n_docs": self.index.n_docs,
                       "avgdl": self.index.avgdl,
                       "tombstones": int(self.index.tombstones.size)},
@@ -2370,8 +2374,6 @@ def make_snippet(text: str, terms: list[str], context: int = 50,
     # length-preserving for precomposed letters, so matched offsets map
     # 1:1 back onto the original text; on the rare ligature expansion
     # fall back to plain lowercase matching.
-    from ..analysis.tokenizer import fold_text
-
     folded = fold_text(text)
     low = folded if len(folded) == len(text) else text.lower()
     best_pos = None
@@ -2436,8 +2438,6 @@ class SearchActor:
         self.search_defaults = dict(search_defaults or {})
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import json as _json
-
         qids, queries = batch["qid"].to_pylist(), batch["query"].to_pylist()
         limits = (
             batch["limit"].to_pylist() if "limit" in batch.column_names
@@ -2454,7 +2454,7 @@ class SearchActor:
         for qid, q, lim, opt in zip(qids, queries, limits, opts):
             kw = dict(self.search_defaults)
             if opt:
-                kw.update(_json.loads(opt))
+                kw.update(json.loads(opt))
             r = self.engine.search(q, limit=int(lim), **kw)
             ids = r["doc_id"].to_pylist()
             scores = r["score"].to_pylist()
