@@ -149,9 +149,9 @@ class TestSnapshot:
         opened = []
 
         class Spy(Segment):
-            def __init__(self, index_dir, part, gen):
+            def __init__(self, index_dir, part, gen, *rest):
                 opened.append(gen)
-                super().__init__(index_dir, part, gen)
+                super().__init__(index_dir, part, gen, *rest)
 
         monkeypatch.setattr(segment, "Segment", Spy)
         # garbage in place of every generation-1 file: reading one fails

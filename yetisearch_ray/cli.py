@@ -347,17 +347,29 @@ def _verify_docstore(index_dir: str, man, doclens_ids, problems: list) -> int:
     return int(got.size)
 
 
+def _verify_id(what: str, part: int, gen: int, got: str, ids: dict,
+               problems: list) -> None:
+    """Report a file whose segment id is not its manifest entry's."""
+    want = ids.get((part, gen))
+    if got != want:
+        problems.append(
+            f"{what} of partition {part:05d} generation {gen}: segment "
+            f"id {got or 'none'}, the manifest commits {want}")
+
+
 def cmd_verify(args):
-    """Integrity check: manifest committed, every committed segment
-    present and readable, every run decodable with the df, cf and
-    strictly ascending doc ids its dictionary row claims, dictionaries
-    sorted, stats consistent with doclens, every committed docstore
+    """Integrity check: manifest committed, every committed segment and
+    doc-length file present and readable with its manifest entry's
+    segment id, every run decodable with the df, cf and strictly
+    ascending doc ids its dictionary row claims, dictionaries sorted,
+    stats consistent with the doc lengths, every committed docstore
     chunk readable with strictly ascending ids in its batch ranges, and
-    the docstore ids equal to the doclens ids.  Exits 1 on any problem."""
-    import pyarrow.parquet as pq
+    the docstore ids equal to the doc-length ids.  Exits 1 on any
+    problem."""
+    import numpy as np
 
     from .index.manifest import Manifest
-    from .index.segment import Segment
+    from .index.segment import Segment, read_doc_lengths
 
     man = Manifest.load(args.index)
     problems = []
@@ -367,22 +379,33 @@ def cmd_verify(args):
         man.require_current_format()
     except ValueError as e:
         problems.append(str(e))
+    ids = man.segment_ids()
     n_segments = n_terms = 0
     for part, gens in sorted(man.segment_generations().items()):
         for gen in sorted(gens):
             try:
                 with Segment(args.index, part, gen) as seg:
                     n_segments += 1
+                    _verify_id("term dictionary", part, gen, seg.seg_id,
+                               ids, problems)
                     n_terms += _verify_segment(seg, problems)
             except (OSError, ValueError) as e:
                 problems.append(str(e))
-    dl = pq.read_table(os.path.join(args.index, "doclens"), columns=["doc_id"])
-    if dl.num_rows != man.stats.get("n_docs"):
-        problems.append(
-            f"doclens rows {dl.num_rows} != stats n_docs {man.stats.get('n_docs')}")
-    n_docs = _verify_docstore(args.index, man,
-                              dl["doc_id"].to_numpy(zero_copy_only=False),
-                              problems)
+    doc_ids = []
+    for part, gen in man.doclens_segments():
+        try:
+            dl = read_doc_lengths(args.index, part, gen)
+        except (OSError, ValueError) as e:
+            problems.append(str(e))
+            continue
+        _verify_id("doc lengths", part, gen, dl.seg_id, ids, problems)
+        doc_ids.append(dl.ids)
+    doc_ids = (np.concatenate(doc_ids) if doc_ids
+               else np.empty(0, np.uint64))
+    if doc_ids.size != man.stats.get("n_docs"):
+        problems.append(f"doclens rows {doc_ids.size} != stats n_docs "
+                        f"{man.stats.get('n_docs')}")
+    n_docs = _verify_docstore(args.index, man, doc_ids, problems)
     print(json.dumps({"ok": not problems, "segments": n_segments,
                       "term_rows": n_terms, "docstore_rows": n_docs,
                       "problems": problems}))

@@ -25,6 +25,10 @@ class YetiSearchRay:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self._engines: dict[str, Any] = {}
+        # name -> the reader of the last released engine, kept (files
+        # closed) until engine(name) has opened its replacement, which
+        # reuses its loaded segments (index/segment.py)
+        self._retired: dict[str, Any] = {}
         self._configs: dict[str, Any] = {}
         self.default_config = default_config or {}
         self.last_assigned_ids: list[int] = []
@@ -60,7 +64,7 @@ class YetiSearchRay:
         from .index.manage import drop_index
 
         drop_index(self._dir(name))
-        self._release_engine(name)
+        self._release_engine(name, keep_reader=False)
 
     def clear(self, name: str) -> None:
         from .index.manage import clear_index
@@ -187,6 +191,7 @@ class YetiSearchRay:
                     name, self.root)
             eng = SearchEngine(open_index(self._dir(name)), **kwargs)
             self._engines[key] = eng
+            self._retired.pop(name, None)
         return eng
 
     def search(self, name: str, query: str, **kwargs) -> pa.Table:
@@ -329,10 +334,14 @@ class YetiSearchRay:
     drop_index = drop                     # dropIndex (:141)
     rebuild_fts = rebuild                 # rebuildFts (:396)
 
-    def _release_engine(self, name: str) -> None:
+    def _release_engine(self, name: str, keep_reader: bool = True) -> None:
         """Drop a cached engine AFTER flushing its persistent tiers —
         a bare pop() loses pending fuzzy-cache entries and leaks the
-        query cache's SQLite connection."""
+        query cache's SQLite connection.  Its reader's files close; the
+        reader itself is kept (``keep_reader``) until the next
+        ``engine(name)`` has opened its replacement."""
+        if not keep_reader:
+            self._retired.pop(name, None)
         eng = self._engines.pop(name, None)
         if eng is None:
             return
@@ -349,9 +358,12 @@ class YetiSearchRay:
             except Exception:
                 pass
         eng.index.close()
+        if keep_reader:
+            self._retired[name] = eng.index
 
     def close(self) -> None:
         """Flush persistent cache tiers and release cached engines
         (reference ``close()`` :678 saves the fuzzy cache file)."""
         for name in list(self._engines):
             self._release_engine(name)
+        self._retired.clear()

@@ -43,19 +43,17 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from . import docstore
 from .manifest import Manifest
 from .postings import encode_postings, encode_postings_bulk
-from .segment import write_segment
+from .segment import new_segment_id, write_doc_lengths, write_segment
 from ..analysis.tokenizer import tokenize_batch, tokenize_batch_dict
 
 # pandas' siphash with this fixed key is deterministic across processes —
@@ -444,6 +442,12 @@ def _emit_postings_batch(cfg: IndexConfig, skip_parts: frozenset[int],
     return fn
 
 
+_SEGMENT_METRICS = pa.schema([
+    ("part", pa.uint32()), ("rows", pa.int64()), ("terms", pa.int64()),
+    ("bytes", pa.int64()), ("n_docs", pa.int64()), ("sum_dl", pa.int64()),
+    ("seg_id", pa.string())])
+
+
 def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
     """Per-partition group → sorted, encoded segment + metrics row.
 
@@ -456,12 +460,7 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
 
     def fn(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            return pa.table({"part": pa.array([], pa.uint32()),
-                             "rows": pa.array([], pa.int64()),
-                             "terms": pa.array([], pa.int64()),
-                             "bytes": pa.array([], pa.int64()),
-                             "n_docs": pa.array([], pa.int64()),
-                             "sum_dl": pa.array([], pa.int64())})
+            return _SEGMENT_METRICS.empty_table()
         part = int(group["part"][0].as_py())
         # unpack the map-side IPC blobs into one posting table
         t = pa.concat_tables(
@@ -481,32 +480,23 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
         list_offsets = pos_col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         pos_lens = np.diff(list_offsets)
 
-        # --- doc-length rows (field == -1) → doclens side-file ---
+        # --- doc-length rows (field == -1) → doc-length file ---
+        # (both files of this partition carry one segment id, which the
+        # manifest entry records)
+        seg_id = new_segment_id()
         dl_mask = fields == -1
         n_docs = int(dl_mask.sum())
         sum_dl = int(tfs[dl_mask].sum())
         if n_docs:
-            dl_ids = doc_ids[dl_mask]
-            dl_vals = tfs[dl_mask].astype(np.int64)
-            o = np.argsort(dl_ids, kind="stable")
-            dl_out = pa.table({"doc_id": pa.array(dl_ids[o], pa.uint64()),
-                               "dl": pa.array(dl_vals[o], pa.int64())})
-            dl_path = os.path.join(index_dir, "doclens",
-                                   f"part={part:05d}-g{gen:03d}.parquet")
-            os.makedirs(os.path.dirname(dl_path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(dl_path), prefix=".dl-")
-            os.close(fd)
-            pq.write_table(dl_out, tmp, compression="zstd")
-            os.replace(tmp, dl_path)
+            write_doc_lengths(index_dir, part, gen, doc_ids[dl_mask],
+                              tfs[dl_mask].astype(np.int64), seg_id)
 
         keep = ~dl_mask
         if not keep.any():
-            return pa.table({"part": pa.array([part], pa.uint32()),
-                             "rows": pa.array([0], pa.int64()),
-                             "terms": pa.array([0], pa.int64()),
-                             "bytes": pa.array([0], pa.int64()),
-                             "n_docs": pa.array([n_docs], pa.int64()),
-                             "sum_dl": pa.array([sum_dl], pa.int64())})
+            return pa.Table.from_pylist([{
+                "part": part, "rows": 0, "terms": 0, "bytes": 0,
+                "n_docs": n_docs, "sum_dl": sum_dl, "seg_id": seg_id}],
+                schema=_SEGMENT_METRICS)
         kidx = np.flatnonzero(keep)
         # rank terms lexicographically so the segment is term-sorted
         # (its dictionary is binary-searched on point lookups)
@@ -570,17 +560,12 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
             out_docs[ri], out_tfs[ri], out_pos[ri] = db, tb, pb
 
         nbytes = write_segment(index_dir, part, gen, out_terms, out_fields,
-                               out_df, out_cf, out_docs, out_tfs, out_pos)
-        return pa.table(
-            {
-                "part": pa.array([part], pa.uint32()),
-                "rows": pa.array([int(keep.sum())], pa.int64()),
-                "terms": pa.array([len(out_terms)], pa.int64()),
-                "bytes": pa.array([nbytes], pa.int64()),
-                "n_docs": pa.array([n_docs], pa.int64()),
-                "sum_dl": pa.array([sum_dl], pa.int64()),
-            }
-        )
+                               out_df, out_cf, out_docs, out_tfs, out_pos,
+                               seg_id)
+        return pa.Table.from_pylist([{
+            "part": part, "rows": int(keep.sum()), "terms": len(out_terms),
+            "bytes": nbytes, "n_docs": n_docs, "sum_dl": sum_dl,
+            "seg_id": seg_id}], schema=_SEGMENT_METRICS)
 
     return fn
 
@@ -686,7 +671,7 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
             man.record_partition(f"{gen}:{int(m['part'])}", {
                 "rows": int(m["rows"]), "terms": int(m["terms"]), "bytes": int(m["bytes"]),
                 "n_docs": int(m["n_docs"]), "sum_dl": int(m["sum_dl"]),
-                "input_fingerprint": input_fingerprint,
+                "seg_id": m["seg_id"], "input_fingerprint": input_fingerprint,
             })
     # phase wall-times ride the manifest (north-rule metrics; `iter_rows`
     # above drains the whole ingest+shuffle execution, so this span IS

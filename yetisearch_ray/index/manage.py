@@ -22,7 +22,7 @@ from __future__ import annotations
 import glob
 import os
 import shutil
-import tempfile
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -33,7 +33,9 @@ from . import docstore
 from .docstore import DocStore
 from .manifest import Manifest
 from .postings import decode_postings, encode_postings
-from .segment import Segment, segment_paths, write_segment
+from .segment import (Segment, doc_lengths_path, new_segment_id,
+                      read_doc_lengths, segment_paths, write_doc_lengths,
+                      write_segment)
 
 
 # ---------------------------------------------------------------- create
@@ -45,19 +47,12 @@ def create_empty_index(index_dir: str, cfg) -> "Manifest":
     schema).  Searches return 0 rows; later builds append into it
     (``build_index(..., append=True)`` / facade ``index_batch``).
 
-    Writes the manifest plus a zero-row doclens file with the
-    append-compatible schema so readers that eagerly load doc lengths
-    see a well-typed empty table rather than a missing directory."""
+    Writes only the manifest (no partition is committed, so a reader
+    loads no segment or doc-length file)."""
     if Manifest.exists(index_dir):
         raise FileExistsError(f"index already exists at {index_dir}")
-    dl_dir = os.path.join(index_dir, "doclens")
-    os.makedirs(dl_dir, exist_ok=True)
     os.makedirs(os.path.join(index_dir, "docs"), exist_ok=True)
     os.makedirs(os.path.join(index_dir, "postings"), exist_ok=True)
-    empty_dl = pa.table({"doc_id": pa.array([], pa.uint64()),
-                         "dl": pa.array([], pa.int64())})
-    pq.write_table(empty_dl, os.path.join(dl_dir, "part=empty-g000.parquet"),
-                   compression="zstd")
     man = Manifest.new(index_dir, cfg.as_dict(), input_fingerprint="empty")
     man.data["stats"] = {"n_docs": 0, "total_dl": 0, "avgdl": 0.0}
     man.data["status"] = "committed"
@@ -145,16 +140,21 @@ def index_stats(index_dir: str, by: str | None = None):
 
 
 def _merge_partition(index_dir: str, part: int, gens: list[int],
-                     dead: np.ndarray) -> int:
-    """K-way merge of one partition's generations into a single
-    generation-0 segment: group runs by (term, field), merge postings
-    positions-preserving, drop tombstoned docs, write atomically, then
-    remove the merged-away generations.  Returns terms kept."""
+                     dl_gens: list[int], seg_ids: dict, dead: np.ndarray
+                     ) -> dict:
+    """K-way merge of one partition's committed generations into a
+    single generation-0 segment and doc-length file under a fresh
+    segment id: group runs by (term, field), merge postings
+    positions-preserving, drop tombstoned docs (and their doc lengths;
+    a later generation's length of a re-added doc wins), write
+    atomically, then remove the merged-away generations.  Returns the
+    new entry's terms, n_docs, sum_dl and seg_id."""
     from .postings import merge_postings
 
+    seg_id = new_segment_id()
     groups: dict[tuple, list] = {}
     for gen in gens:
-        with Segment(index_dir, part, gen) as seg:
+        with Segment(index_dir, part, gen, seg_ids[part, gen]) as seg:
             for term, _, _, (fid, d, f, p) in seg.runs():
                 groups.setdefault((term, fid), []).append(
                     decode_postings(d, f, p))
@@ -183,95 +183,81 @@ def _merge_partition(index_dir: str, part: int, gens: list[int],
         out["docs"].append(db)
         out["tfs"].append(tb)
         out["pos"].append(pb)
-    write_segment(index_dir, part, 0, out["term"], out["field"], out["df"],
-                  out["cf"], out["docs"], out["tfs"], out["pos"])
-    for gen in gens:
+    if gens:
+        write_segment(index_dir, part, 0, out["term"], out["field"],
+                      out["df"], out["cf"], out["docs"], out["tfs"],
+                      out["pos"], seg_id)
+    n_docs = sum_dl = 0
+    if dl_gens:
+        lens = [read_doc_lengths(index_dir, part, g, seg_ids[part, g])
+                for g in dl_gens]
+        ids = np.concatenate([x.ids for x in lens])
+        dl = np.concatenate([x.dl for x in lens])
+        # the last row of each id: np.unique keeps the first of the reverse
+        ids, last = np.unique(ids[::-1], return_index=True)
+        dl = dl[::-1][last]
+        alive = ~np.isin(ids, dead)
+        ids, dl = ids[alive], dl[alive]
+        write_doc_lengths(index_dir, part, 0, ids, dl, seg_id)
+        n_docs, sum_dl = int(ids.size), int(dl.sum())
+    for gen in sorted(set(gens) | set(dl_gens)):
         if gen != 0:
-            for f in segment_paths(index_dir, part, gen):  # dictionary first
-                os.remove(f)
-    return len(out["term"])
+            for f in (*segment_paths(index_dir, part, gen),  # dictionary first
+                      doc_lengths_path(index_dir, part, gen)):
+                if os.path.exists(f):
+                    os.remove(f)
+    return {"status": "committed", "terms": len(out["term"]), "merged": True,
+            "n_docs": n_docs, "sum_dl": sum_dl, "seg_id": seg_id}
 
 
 def optimize_index(index_dir: str) -> dict:
-    """Segment compaction (the reference's optimize() analogue): merge all
-    segment generations per partition into one segment, physically apply
-    tombstones, refresh stats.  One Ray task per partition — idempotent
-    atomic writes, same resumability story as the build."""
-    import collections
-    import re as _re
-
+    """Segment compaction (the reference's optimize() analogue): merge
+    each partition's committed segment generations and doc-length files
+    into one, physically apply tombstones, refresh stats from the merged
+    doc lengths.  Files the manifest does not commit (the leftovers of
+    a write killed before its commit) are never read.  One Ray task per
+    partition — idempotent atomic writes, same resumability story as
+    the build."""
     import ray
 
     man = Manifest.load(index_dir)
     man.require_current_format()
     dead = np.array(sorted(man.data.get("tombstones", [])), dtype=np.uint64)
     by_part = {p: sorted(gs) for p, gs in man.segment_generations().items()}
+    dl_by_part: dict[int, list[int]] = {}
+    for p, g in man.doclens_segments():
+        dl_by_part.setdefault(p, []).append(g)
+    seg_ids = man.segment_ids()
 
     @ray.remote
-    def compact(part: int, gens: list, dead_arr: np.ndarray):
-        return _merge_partition(index_dir, part, gens, dead_arr)
+    def compact(part: int, dead_arr: np.ndarray):
+        return _merge_partition(index_dir, part, by_part.get(part, []),
+                                dl_by_part.get(part, []), seg_ids, dead_arr)
 
     dead_ref = ray.put(dead)
-    results = ray.get([
-        compact.remote(p, gs, dead_ref) for p, gs in sorted(by_part.items())
-    ])
-    # merge doclens generations: concat, drop tombstoned + duplicate ids
-    dl_dir = os.path.join(index_dir, "doclens")
-    dl_files = sorted(glob.glob(os.path.join(dl_dir, "*.parquet")))
-    by_part_dl: dict[int, list] = collections.defaultdict(list)
-    for f in dl_files:
-        m = _re.search(r"part=(\d+)", os.path.basename(f))
-        if m:
-            by_part_dl[int(m.group(1))].append(f)
-    dl_per_part: dict[int, tuple[int, int]] = {}
-    for p, fs in sorted(by_part_dl.items()):
-        t = pa.concat_tables([pq.read_table(f) for f in fs])
-        import pandas as pd
-
-        df = t.to_pandas().drop_duplicates("doc_id", keep="last")
-        if dead.size:
-            df = df[~df.doc_id.isin(dead)]
-        df = df.sort_values("doc_id")
-        dl_per_part[p] = (len(df), int(df.dl.sum()))
-        out_path = os.path.join(dl_dir, f"part={p:05d}-g000.parquet")
-        fd, tmp = tempfile.mkstemp(dir=dl_dir, prefix=".opt-")
-        os.close(fd)
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp,
-                       compression="zstd")
-        os.replace(tmp, out_path)
-        for f in fs:
-            if os.path.abspath(f) != os.path.abspath(out_path):
-                os.remove(f)
+    parts = sorted(set(by_part) | set(dl_by_part))
+    entries = ray.get([compact.remote(p, dead_ref) for p in parts])
     chunks, stale = man.docstore_chunks(), []
     if dead.size:
         with DocStore.committed(index_dir, man) as store:
             chunks, stale = store.drop_ids(dead)
-    # refresh stats from the compacted doclens
-    dl = pq.read_table(dl_dir, columns=["dl"])
-    n_docs = dl.num_rows
-    total_dl = int(pa.compute.sum(dl["dl"]).as_py() or 0)
+    # stats from the merged doc lengths; each partition keeps its
+    # n_docs/sum_dl so later appends re-derive stats right
+    n_docs = sum(e["n_docs"] for e in entries)
+    total_dl = sum(e["sum_dl"] for e in entries)
     man.data["stats"] = {
         "n_docs": n_docs,
         "total_dl": total_dl,
         "avgdl": (total_dl / n_docs) if n_docs else 0.0,
     }
-    # collapse partition bookkeeping to the merged generation, keeping
-    # n_docs/sum_dl per partition so later appends re-derive stats right
-    terms_of = dict(zip(sorted(by_part), results))
-    merged_parts = {}
-    for p in sorted(set(terms_of) | set(dl_per_part)):
-        nd, sd = dl_per_part.get(p, (0, 0))
-        merged_parts[f"0:{p}"] = {"status": "committed",
-                                  "terms": terms_of.get(p, 0), "merged": True,
-                                  "n_docs": nd, "sum_dl": sd}
-    man.data["partitions"] = merged_parts
+    man.data["partitions"] = {f"0:{p}": e for p, e in zip(parts, entries)}
     man.data["docstore"] = {"chunks": [{**c, "gen": 0} for c in chunks]}
     man.data["tombstones"] = []
-    man.data["optimized_at"] = __import__("time").time()
+    man.data["optimized_at"] = time.time()
     man.save()
     docstore.remove_chunks(index_dir, stale)  # committed: unlisted now
     return {"segments": len(by_part), "docs_removed": int(dead.size),
-            "terms_kept": sum(results)}
+            "terms_kept": sum(e["terms"] for e in entries)}
 
 
 def rebuild_index(index_dir: str) -> dict:

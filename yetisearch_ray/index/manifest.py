@@ -20,9 +20,11 @@ from typing import Any
 MANIFEST_NAME = "manifest.json"
 # 2: block-addressed posting segments (``segment.py``).
 # 3: a manifest-listed docstore of Arrow IPC chunks (``docstore.py``).
+# 4: a segment id per committed (partition, generation) in its entry
+#    and its files (``segment.py``).
 # No reader of older formats is kept: ``manage.rebuild_index`` rebuilds
 # an index from its docstore in the current format.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -62,13 +64,27 @@ class Manifest:
                 f"with yetisearch_ray.index.manage.rebuild_index({d!r})")
 
     def save(self) -> None:
-        """Atomic write (tmp + rename): readers never see a torn manifest."""
+        """Durable atomic write: the tmp file is fsynced before it
+        replaces the manifest and the directory after, so readers never
+        see a torn manifest and a crash never loses a commit that
+        returned.  A failed write leaves no tmp file behind."""
         d = os.path.dirname(self.path)
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".manifest-")
-        with os.fdopen(fd, "w") as f:
-            json.dump(self.data, f, indent=1, sort_keys=True)
-        os.replace(tmp, self.path)
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(self.data, f, indent=1, sort_keys=True)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        dfd = os.open(d, os.O_RDONLY)
+        try:
+            os.fsync(dfd)
+        finally:
+            os.close(dfd)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -108,15 +124,16 @@ class Manifest:
                 out.add(int(k.split(":")[-1]))
         return out
 
-    def _committed(self, count: str, max_generation: int | None):
-        """(partition, generation) of the committed partitions with a
-        non-zero ``count``, optionally up to ``max_generation``."""
+    def _committed(self, field: str, max_generation: int | None):
+        """(partition, generation, entry) of the committed partitions
+        whose ``field`` is set and non-zero, optionally up to
+        ``max_generation``."""
         for k, v in self.data.get("partitions", {}).items():
             g, _, part = k.rpartition(":")
             gen = int(g or 0)
-            if (v.get("status") == "committed" and v.get(count, 0) > 0
+            if (v.get("status") == "committed" and v.get(field)
                     and (max_generation is None or gen <= max_generation)):
-                yield int(part), gen
+                yield int(part), gen, v
 
     def segment_generations(self, max_generation: int | None = None
                             ) -> dict[int, set[int]]:
@@ -124,15 +141,23 @@ class Manifest:
         commits (committed with terms), optionally up to
         ``max_generation``: the segment snapshot of a reader."""
         out: dict[int, set[int]] = {}
-        for part, gen in self._committed("terms", max_generation):
+        for part, gen, _ in self._committed("terms", max_generation):
             out.setdefault(part, set()).add(gen)
         return out
+
+    def segment_ids(self, max_generation: int | None = None
+                    ) -> dict[tuple[int, int], str]:
+        """(partition, generation) -> segment id of every committed entry,
+        optionally up to ``max_generation`` (``segment.py``)."""
+        return {(part, gen): v["seg_id"] for part, gen, v
+                in self._committed("seg_id", max_generation)}
 
     def doclens_segments(self, max_generation: int | None = None
                          ) -> list[tuple[int, int]]:
         """(partition, generation) of every committed doc-length file
         (committed with docs), optionally up to ``max_generation``."""
-        return sorted(self._committed("n_docs", max_generation))
+        return sorted((part, gen) for part, gen, _
+                      in self._committed("n_docs", max_generation))
 
     def docstore_chunks(self, max_generation: int | None = None
                         ) -> list[dict]:

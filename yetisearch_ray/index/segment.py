@@ -1,6 +1,5 @@
-"""Block-addressed posting segments: a sorted term dictionary over
-~16 KB zstd blocks.  Every writer and reader of posting segments goes
-through this module.
+"""Posting segments and doc-length files.  Every writer and reader of
+either goes through this module.
 
 A segment ``postings/part=KKKKK-gGGG`` (partition K, generation G) is
 two files:
@@ -17,28 +16,60 @@ two files:
   offset in the decompressed block) and ``docs_len, tfs_len, pos_len``.
   Its schema metadata records the ``.blk`` size.
 
-The ``.blk`` is written first and the dictionary last, each tmp +
-rename, so the dictionary is the segment's commit point.  A reader
-loads a segment's dictionary once; a cold term fetch is then a binary
-search in it, one ``os.pread`` and one block decompress.  This is
-FTS5's layout (doclists in b-tree pages behind a term index) and the
-dictionary-plus-offsets-into-compressed-lists design of "Highly
-Efficient String Similarity Search and Join over Compressed Indexes"
-(ICDE 2022).
+The doc lengths of the same (partition, generation) are
+``doclens/part=KKKKK-gGGG.parquet``: ``doc_id`` (ascending) and ``dl``,
+one row per doc whose length rows the partition's exchange carried.
 
-A reader keeps each loaded segment's ``.blk`` open, so a segment that
-is rewritten later (``optimize_index``) keeps serving the bytes its
-loaded dictionary addresses.  A segment that is damaged — a dictionary
-that does not parse, a ``.blk`` of the wrong size, a short read or a
-block that does not decompress — raises ``CorruptSegmentError`` naming
-the partition and generation; a missing one raises
-``FileNotFoundError``.  Neither is ever an empty posting list.
+The ``.blk`` is written first and the dictionary last, each tmp +
+rename, so the dictionary is the segment's commit point.  A cold term
+fetch is a binary search in the loaded dictionary, one ``os.pread`` and
+one block decompress.  This is FTS5's layout (doclists in b-tree pages
+behind a term index) and the dictionary-plus-offsets-into-compressed-
+lists design of "Highly Efficient String Similarity Search and Join
+over Compressed Indexes" (ICDE 2022).
+
+**Identity.**  Every file of one (partition, generation) carries the
+same random segment id (``new_segment_id``) in its schema metadata,
+and the manifest's ``gen:part`` entry records it.  The id, not the file
+name, identifies a segment: ``optimize_index``, ``rebuild_index``,
+``clear_index`` and dropping and re-creating an index all reuse the
+``part=KKKKK-gGGG`` names.  A file whose id differs from the one its
+reader's manifest commits raises ``CorruptSegmentError``.
+
+**Sharing.**  The resident state of a committed segment — its
+dictionary arrays (``TermDictionary``) and its doc-length arrays
+(``DocLengths``) — is immutable and loaded once per process: a weak
+registry keyed by ``(realpath(index_dir), part, gen, seg_id)`` hands the
+loaded copy to every reader whose manifest commits that segment (the
+reuse of unchanged segments of Lucene's ``openIfChanged``).
+
+**Lifetime.**  A ``SegmentSet`` takes strong references to the live
+entries of its snapshot when it is built and loads and registers the
+rest on first touch, so a reader opened after a write reuses what the
+reader before it loaded, and an entry lives exactly as long as some
+reader holds it; there is no cache size.  Each reader keeps its own
+open ``.blk`` per loaded segment, checked against the size and the
+file its dictionary addresses, so a segment that is rewritten later
+(``optimize_index``) keeps serving the bytes its loaded dictionary
+addresses.  ``SegmentSet.close`` releases the descriptors, not the
+shared state.
+
+A segment or doc-length file that is damaged — one that does not parse,
+a ``.blk`` of the wrong size, a short read, a block that does not
+decompress, a segment id other than its manifest's — raises
+``CorruptSegmentError`` naming the partition and generation; a missing
+one raises ``FileNotFoundError``.  Neither is ever an empty posting
+list.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
+import threading
+import uuid
+import weakref
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -49,6 +80,7 @@ BLOCK_SIZE = 16 * 1024  # raw bytes per block (larger measured no smaller)
 
 _CODEC = pa.Codec("zstd")
 _BLK_SIZE_KEY = b"blk_bytes"
+_SEG_ID_KEY = b"seg_id"
 _ADDR = ("block_off", "block_len", "block_raw", "run_off",
          "docs_len", "tfs_len", "pos_len")
 _SCHEMA = pa.schema([("term", pa.string()), ("field", pa.int8()),
@@ -58,13 +90,26 @@ _SCHEMA = pa.schema([("term", pa.string()), ("field", pa.int8()),
                      ("docs_len", pa.uint32()), ("tfs_len", pa.uint32()),
                      ("pos_len", pa.uint32())])
 _STATS = ("term", "field", "df", "cf")
+_DL_SCHEMA = pa.schema([("doc_id", pa.uint64()), ("dl", pa.int64())])
 
 # one run as read back: (field, docs, tfs, pos) encoded blobs
 Record = tuple[int, bytes, bytes, bytes]
 
+# the shared state of committed segments, by (realpath, part, gen, seg_id);
+# process-wide on purpose: every reader of the process is to find it, and
+# the weak values leave its lifetime to the readers that hold it
+_LOCK = threading.Lock()
+_DICTIONARIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_DOC_LENGTHS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 class CorruptSegmentError(OSError):
     """A posting segment is present but unreadable."""
+
+
+def new_segment_id() -> str:
+    """A fresh segment id for the files of one (partition, generation)."""
+    return uuid.uuid4().hex
 
 
 def segment_name(part: int, gen: int) -> str:
@@ -77,8 +122,53 @@ def segment_paths(index_dir: str, part: int, gen: int) -> tuple[str, str]:
     return base + ".parquet", base + ".blk"
 
 
+def doc_lengths_path(index_dir: str, part: int, gen: int) -> str:
+    return os.path.join(index_dir, "doclens",
+                        segment_name(part, gen) + ".parquet")
+
+
+def _where(index_dir: str, part: int, gen: int) -> str:
+    return (f"partition {part:05d} generation {gen} "
+            f"({segment_name(part, gen)} in {index_dir})")
+
+
+def _root(index_dir: str) -> str:
+    return _realpath(os.path.abspath(index_dir))
+
+
+# realpath costs ~20 us of syscalls and a reader resolves it for each
+# segment it touches; the segment id in the key names the content, so a
+# symlink re-pointed later only changes which readers share
+_realpath = functools.lru_cache(maxsize=64)(os.path.realpath)
+
+
+def _shared(registry, key, load):
+    """The registered state of ``key``, loaded (``load()``) and
+    registered if no reader holds it.  Two threads may both load; the
+    first to register wins."""
+    with _LOCK:
+        got = registry.get(key)
+    if got is None:
+        got = load()
+        with _LOCK:
+            got = registry.setdefault(key, got)
+    return got
+
+
+def _segment_id(meta, want: str | None, what: str, where: str) -> str:
+    """The segment id in a file's schema metadata, checked against
+    ``want`` (its manifest's) unless that is None."""
+    got = (meta or {}).get(_SEG_ID_KEY, b"").decode()
+    if want is not None and got != want:
+        raise CorruptSegmentError(
+            f"{what} of {where} has segment id {got or 'none'}, its "
+            f"manifest commits {want}: rewritten outside a commit")
+    return got
+
+
 def _replace_atomically(path: str, write) -> None:
     d = os.path.dirname(path)
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".seg-")
     try:
         with os.fdopen(fd, "wb") as f:
@@ -90,12 +180,14 @@ def _replace_atomically(path: str, write) -> None:
 
 
 def write_segment(index_dir: str, part: int, gen: int, terms: list,
-                  fields, df, cf, docs: list, tfs: list, pos: list) -> int:
+                  fields, df, cf, docs: list, tfs: list, pos: list,
+                  seg_id: str | None = None) -> int:
     """Write one segment from its runs, given sorted by ``(term,
     field)``: parallel lists of term, field, df, cf and the encoded
-    docs / tfs / pos blobs.  Returns the segment's bytes on disk."""
+    docs / tfs / pos blobs.  ``seg_id`` is the id its manifest entry
+    will record (a fresh one by default).  Returns the segment's bytes
+    on disk."""
     dict_path, blk_path = segment_paths(index_dir, part, gen)
-    os.makedirs(os.path.dirname(dict_path), exist_ok=True)
     n = len(terms)
     lens = [np.fromiter(map(len, b), np.int64, n) for b in (docs, tfs, pos)]
     run_len = (lens[0] + lens[1] + lens[2]).tolist()
@@ -140,50 +232,138 @@ def write_segment(index_dir: str, part: int, gen: int, terms: list,
         pa.array(per_run(block_raw), pa.uint32()),
         pa.array(run_off, pa.uint32()), pa.array(lens[0], pa.uint32()),
         pa.array(lens[1], pa.uint32()), pa.array(lens[2], pa.uint32()),
-    ], schema=_SCHEMA.with_metadata({_BLK_SIZE_KEY: str(blk_bytes)}))
+    ], schema=_SCHEMA.with_metadata({
+        _BLK_SIZE_KEY: str(blk_bytes),
+        _SEG_ID_KEY: seg_id or new_segment_id()}))
     _replace_atomically(dict_path, lambda f: pq.write_table(
         table, f, compression="zstd", use_dictionary=False))
     return blk_bytes + os.path.getsize(dict_path)
 
 
-class Segment:
-    """One committed segment: its dictionary resident, its blocks read
-    on demand."""
+def write_doc_lengths(index_dir: str, part: int, gen: int, doc_ids,
+                      dl, seg_id: str) -> int:
+    """Write one (partition, generation)'s doc lengths, sorted by doc id,
+    under segment id ``seg_id``.  Returns the file's bytes."""
+    doc_ids = np.asarray(doc_ids, np.uint64)
+    o = np.argsort(doc_ids, kind="stable")
+    table = pa.table([pa.array(doc_ids[o], pa.uint64()),
+                      pa.array(np.asarray(dl, np.int64)[o], pa.int64())],
+                     schema=_DL_SCHEMA.with_metadata({_SEG_ID_KEY: seg_id}))
+    path = doc_lengths_path(index_dir, part, gen)
+    _replace_atomically(path, lambda f: pq.write_table(
+        table, f, compression="zstd"))
+    return os.path.getsize(path)
 
-    def __init__(self, index_dir: str, part: int, gen: int):
-        self.part, self.gen = part, gen
-        dict_path, blk_path = segment_paths(index_dir, part, gen)
-        self.where = (f"partition {part:05d} generation {gen} "
-                      f"({segment_name(part, gen)} in {index_dir})")
-        if not os.path.exists(dict_path):
-            raise FileNotFoundError(
-                f"posting segment of {self.where} missing: the manifest "
-                f"commits it")
+
+class DocLengths:
+    """The doc lengths of one (partition, generation): ``ids``
+    (ascending) and ``dl``, read-only; shared (see the module
+    docstring)."""
+
+    def __init__(self, path: str, where: str, seg_id: str | None):
         try:
-            with pq.ParquetFile(dict_path) as pf:
+            with pq.ParquetFile(path) as pf:
+                t = pf.read()
+            if not t.schema.remove_metadata().equals(_DL_SCHEMA):
+                raise ValueError(f"doc-length schema {t.schema}")
+        except FileNotFoundError as e:
+            raise FileNotFoundError(
+                f"doc lengths of {where} missing: the manifest commits "
+                f"them") from e
+        except (OSError, ValueError) as e:
+            raise CorruptSegmentError(
+                f"damaged doc lengths of {where}: {e}") from e
+        self.seg_id = _segment_id(t.schema.metadata, seg_id, "doc lengths",
+                                  where)
+        self.ids = t["doc_id"].to_numpy()
+        self.dl = t["dl"].to_numpy()
+        self.ids.flags.writeable = self.dl.flags.writeable = False
+
+
+def read_doc_lengths(index_dir: str, part: int, gen: int,
+                     seg_id: str | None = None) -> DocLengths:
+    """The doc lengths of one (partition, generation): the shared copy
+    when ``seg_id`` (its manifest's) is given, else a private,
+    unchecked one."""
+    path, where = doc_lengths_path(index_dir, part, gen), _where(
+        index_dir, part, gen)
+    if seg_id is None:
+        return DocLengths(path, where, None)
+    return _shared(_DOC_LENGTHS, (_root(index_dir), part, gen, seg_id),
+                   lambda: DocLengths(path, where, seg_id))
+
+
+class TermDictionary:
+    """The resident part of one segment: its dictionary table, the
+    sorted terms, fields and run addresses a lookup reads, and the
+    ``.blk`` it addresses (size and ``(st_dev, st_ino)``), all
+    read-only; shared (see the module docstring)."""
+
+    def __init__(self, path: str, where: str, seg_id: str | None,
+                 blk: os.stat_result):
+        try:
+            with pq.ParquetFile(path) as pf:
                 t = pf.read()
             if not t.schema.remove_metadata().equals(_SCHEMA):
                 raise ValueError(f"dictionary schema {t.schema}")
-            want = int(t.schema.metadata[_BLK_SIZE_KEY])
+            self.blk_bytes = int(t.schema.metadata[_BLK_SIZE_KEY])
+        except FileNotFoundError as e:
+            raise FileNotFoundError(
+                f"term dictionary of {where} missing: the manifest "
+                f"commits it") from e
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise CorruptSegmentError(
-                f"damaged term dictionary of {self.where}: {e}") from e
+                f"damaged term dictionary of {where}: {e}") from e
+        self.seg_id = _segment_id(t.schema.metadata, seg_id,
+                                  "term dictionary", where)
+        self.blk_file = (blk.st_dev, blk.st_ino)
+        self.table = t
+        self.terms = t["term"].to_numpy(zero_copy_only=False)
+        self.fields = t["field"].to_numpy()
+        self.addr = np.stack([t[c].to_numpy().astype(np.int64)
+                              for c in _ADDR], axis=1)
+        self.terms.flags.writeable = self.addr.flags.writeable = False
+
+
+class Segment:
+    """One committed segment: its dictionary resident (shared when
+    ``seg_id``, its manifest's, is given; else a private, unchecked
+    copy), its own ``.blk`` descriptor, its blocks read on demand."""
+
+    def __init__(self, index_dir: str, part: int, gen: int,
+                 seg_id: str | None = None):
+        self.part, self.gen = part, gen
+        dict_path, blk_path = segment_paths(index_dir, part, gen)
+        self.where = _where(index_dir, part, gen)
         try:
             self._blk = open(blk_path, "rb", buffering=0)
         except FileNotFoundError as e:
             raise FileNotFoundError(
-                f"posting blocks of {self.where} missing") from e
-        got = os.fstat(self._blk.fileno()).st_size
-        if got != want:
+                f"posting segment of {self.where} missing: the manifest "
+                f"commits it") from e
+        try:
+            st = os.fstat(self._blk.fileno())
+
+            def load():
+                return TermDictionary(dict_path, self.where, seg_id, st)
+
+            d = (load() if seg_id is None else _shared(
+                _DICTIONARIES, (_root(index_dir), part, gen, seg_id), load))
+            if st.st_size != d.blk_bytes:
+                raise CorruptSegmentError(
+                    f"posting blocks of {self.where} are {st.st_size} "
+                    f"bytes, their dictionary addresses {d.blk_bytes}")
+            if (st.st_dev, st.st_ino) != d.blk_file:
+                raise CorruptSegmentError(
+                    f"posting blocks of {self.where} were replaced after "
+                    f"their dictionary was loaded")
+        except BaseException:
             self._blk.close()
-            raise CorruptSegmentError(
-                f"posting blocks of {self.where} are {got} bytes, "
-                f"their dictionary addresses {want}")
-        self.table = t
-        self.terms = t["term"].to_numpy(zero_copy_only=False)
-        self.fields = t["field"].to_numpy()
-        self._addr = np.stack([t[c].to_numpy().astype(np.int64)
-                               for c in _ADDR], axis=1)
+            raise
+        self.dictionary = d
+        self.seg_id = d.seg_id
+        self.table, self.terms, self.fields = d.table, d.terms, d.fields
+        self._addr = d.addr
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -251,15 +431,35 @@ class Segment:
 
 
 class SegmentSet:
-    """The segments one manifest snapshot commits (``part -> gens``);
-    each partition's dictionaries load on its first touch.  Segments of
+    """The segments one manifest snapshot commits (``part -> gens``, with
+    ``seg_ids``: ``(part, gen) -> segment id``) and the doc-length files
+    it commits (``doc_lengths``: ``(part, gen)`` pairs).  Each
+    partition's dictionaries load on its first touch, the doc lengths
+    on the first ``doc_lengths()``; what another reader of this process
+    already holds is reused (see the module docstring).  Segments of
     generations outside the snapshot are never opened."""
 
-    def __init__(self, index_dir: str, part_gens: dict[int, Iterable[int]]):
+    def __init__(self, index_dir: str, part_gens: dict[int, Iterable[int]],
+                 seg_ids: dict[tuple[int, int], str] | None = None,
+                 doc_lengths: Iterable[tuple[int, int]] = ()):
         self.index_dir = index_dir
         self.part_gens = {int(p): sorted(int(g) for g in gs)
                           for p, gs in part_gens.items()}
+        self.seg_ids = dict(seg_ids or {})
+        self.doc_length_segments = sorted(doc_lengths)
         self._loaded: dict[int, list[Segment]] = {}
+        # strong references to the shared state of this snapshot, taken
+        # from the registry now (what other readers hold) or at first load
+        self._dictionaries: dict[tuple[int, int], TermDictionary] = {}
+        self._doc_lengths: dict[tuple[int, int], DocLengths] = {}
+        root = _root(index_dir)
+        with _LOCK:
+            for (p, g), sid in self.seg_ids.items():
+                for registry, held in ((_DICTIONARIES, self._dictionaries),
+                                       (_DOC_LENGTHS, self._doc_lengths)):
+                    got = registry.get((root, p, g, sid))
+                    if got is not None:
+                        held[p, g] = got
 
     def partition(self, part: int) -> list[Segment]:
         segs = self._loaded.get(part)
@@ -267,16 +467,37 @@ class SegmentSet:
             segs = []
             try:
                 for g in self.part_gens.get(part, ()):
-                    segs.append(Segment(self.index_dir, part, g))
+                    segs.append(Segment(self.index_dir, part, g,
+                                        self.seg_ids.get((part, g))))
             except OSError:
                 for seg in segs:
                     seg.close()
                 raise
+            for seg in segs:
+                self._dictionaries[part, seg.gen] = seg.dictionary
             self._loaded[part] = segs
         return segs
 
+    def doc_lengths(self) -> tuple[np.ndarray, np.ndarray]:
+        """(doc ids, lengths) of the snapshot's doc-length files,
+        concatenated in (partition, generation) order and stably sorted
+        by doc id."""
+        parts = []
+        for p, g in self.doc_length_segments:
+            dl = self._doc_lengths.get((p, g))
+            if dl is None:
+                dl = self._doc_lengths[p, g] = read_doc_lengths(
+                    self.index_dir, p, g, self.seg_ids.get((p, g)))
+            parts.append(dl)
+        if not parts:
+            return np.empty(0, np.uint64), np.empty(0, np.int64)
+        ids = np.concatenate([d.ids for d in parts])
+        o = np.argsort(ids, kind="stable")
+        return ids[o], np.concatenate([d.dl for d in parts])[o]
+
     def close(self) -> None:
-        """Close every loaded segment's ``.blk``; later reads reload."""
+        """Close every loaded segment's ``.blk``; later reads reopen
+        them.  The shared state stays held."""
         for segs in self._loaded.values():
             for seg in segs:
                 seg.close()

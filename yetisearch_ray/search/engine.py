@@ -9,9 +9,11 @@ highlights.
 
 Architecture: ``IndexReader`` is the stateful piece — manifest + corpus
 stats + doc-metadata arrays resident, postings decoded on demand with an
-LRU cache.  ``SearchActor`` wraps an engine as a ``map_batches`` callable
-class so query serving runs as a Ray actor pool (state loaded once per
-actor in ``__init__``, per reference §2.3's cache/dictionary actors).
+LRU cache; the segment dictionaries and doc lengths it reads are shared
+with the other readers of the process (``index/segment.py``).
+``SearchActor`` wraps an engine as a ``map_batches`` callable class so
+query serving runs as a Ray actor pool (state loaded once per actor in
+``__init__``, per reference §2.3's cache/dictionary actors).
 
 Scale notes: one reader holds ONE index replica.  At cluster scale the
 doc-metadata arrays and segments shard by partition across actors (the
@@ -34,7 +36,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from .bm25 import K1, B, bm25_term_score, idf as _idf
 from .fuzzy import FuzzyMatcher, fuzzy_penalty
@@ -46,7 +47,7 @@ from ..index.build import term_partition
 from ..index.docstore import DocStore
 from ..index.manifest import Manifest
 from ..index.postings import decode_postings, merge_postings
-from ..index.segment import Record, SegmentSet, segment_name
+from ..index.segment import Record, SegmentSet
 
 MAX_RESULTS = 1000  # reference clamp (src/Search/SearchEngine.php:661)
 
@@ -117,12 +118,15 @@ class IndexReader:
             "maxgen": max_generation,
         }, sort_keys=True, default=str)
         self.mutation_version = hashlib.md5(state.encode()).hexdigest()[:16]
-        # the segments this reader's own manifest commits: generations
-        # appended after it opened are never read (snapshot isolation),
-        # and a committed segment that is gone is an error naming its
-        # partition rather than an absent term
+        # the segments and doc-length files this reader's own manifest
+        # commits: generations appended after it opened are never read
+        # (snapshot isolation), a committed segment that is gone is an
+        # error naming its partition rather than an absent term, and
+        # what another reader of this process loaded of them is reused
         self._segments = SegmentSet(
-            index_dir, self.manifest.segment_generations(max_generation))
+            index_dir, self.manifest.segment_generations(max_generation),
+            self.manifest.segment_ids(max_generation),
+            self.manifest.doclens_segments(max_generation))
         self._cache: OrderedDict[str, dict[int, Posting]] = OrderedDict()
         self._cache_max = cache_terms
         # the same snapshot of the docstore: chunks open on first touch
@@ -134,31 +138,21 @@ class IndexReader:
 
     # ---------------- doc metadata (lazy resident arrays) --------------
     def _load_meta(self):
-        """Doc-length arrays from the ``doclens`` side-files (written by
-        the posting shuffle), sorted by doc_id for searchsorted lookup.
-        Needed by EVERY query (BM25 normalization), so loaded eagerly on
-        first use.  Filterable docstore columns load LAZILY, one column
-        on first reference (``_load_col``) — a reader serving unfiltered
-        queries never pays for store-column residency.
+        """Doc-length arrays of this reader's snapshot (``segment.py``
+        doc-length files, shared with the other readers of the process),
+        sorted by doc_id for searchsorted lookup.  Needed by EVERY query
+        (BM25 normalization), so loaded eagerly on first use.
+        Filterable docstore columns load LAZILY, one column on first
+        reference (``_load_col``) — a reader serving unfiltered queries
+        never pays for store-column residency.
 
         At cluster scale these arrays shard by doc_id range across query
         actors (the SearchActor replica axis); term-partition sharding is
         the orthogonal axis served by search/sharded.py."""
         if self._doc_meta is not None:
             return
-        # the doc-length files of this reader's snapshot
-        files = [os.path.join(self.index_dir, "doclens",
-                              segment_name(p, g) + ".parquet")
-                 for p, g in self.manifest.doclens_segments(self.max_generation)]
-        dt = (pq.read_table(files, columns=["doc_id", "dl"]) if files
-              else pa.table({"doc_id": pa.array([], pa.uint64()),
-                             "dl": pa.array([], pa.int64())}))
-        dt = dt.take(pc.sort_indices(dt["doc_id"]))
-        ids = dt["doc_id"].to_numpy(zero_copy_only=False)
-        self._doc_meta = {
-            self.id_column: ids,
-            "dl_total": dt["dl"].to_numpy(zero_copy_only=False),
-        }
+        ids, dl = self._segments.doc_lengths()
+        self._doc_meta = {self.id_column: ids, "dl_total": dl}
         # Fresh builds assign doc_ids densely (0..N-1), making id->row a
         # direct index — ~10x cheaper than searchsorted on the hot
         # scoring path.  Appends/deletes break density; then we fall
@@ -230,7 +224,7 @@ class IndexReader:
 
     def rows_of(self, doc_ids: np.ndarray) -> np.ndarray:
         """Doc-meta row of each doc id, i.e. its position in the sorted
-        ``doclens`` id array — the row space the scorer accumulates in
+        doc-length id array — the row space the scorer accumulates in
         (rows ascend with doc id).  Raises ``KeyError`` for an id without
         a row: a clamped lookup would credit another doc."""
         rows, hit = self._find_rows(doc_ids)
@@ -288,7 +282,8 @@ class IndexReader:
 
     def close(self) -> None:
         """Release the open segment and docstore files (the reader stays
-        usable: a later read reopens what it needs)."""
+        usable: a later read reopens what it needs).  The shared segment
+        state it holds stays held until the reader is dropped."""
         self._segments.close()
         self._docstore.close()
 

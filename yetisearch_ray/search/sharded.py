@@ -33,12 +33,14 @@ class TermShardActor:
     """Serves the posting segments of a subset of term partitions.
 
     It is handed the coordinator's ``part -> generations`` snapshot for
-    its partitions, so it reads exactly the segments the coordinator's
-    manifest commits; each ``term_records`` call is a dictionary lookup
-    and one block read per run (``segment.SegmentSet``)."""
+    its partitions and their segment ids, so it reads exactly the
+    segments the coordinator's manifest commits; each ``term_records``
+    call is a dictionary lookup and one block read per run
+    (``segment.SegmentSet``)."""
 
-    def __init__(self, index_dir: str, part_gens: dict[int, list[int]]):
-        self._segments = SegmentSet(index_dir, part_gens)
+    def __init__(self, index_dir: str, part_gens: dict[int, list[int]],
+                 seg_ids: dict[tuple[int, int], str]):
+        self._segments = SegmentSet(index_dir, part_gens, seg_ids)
 
     def owned(self) -> list[int]:
         return sorted(self._segments.part_gens)
@@ -63,7 +65,8 @@ class ShardedIndexReader(IndexReader):
         for p in range(self.num_partitions):
             assign[p % self.n_shards][p] = self._segments.part_gens.get(p, [])
         self._shards = [
-            TermShardActor.remote(index_dir, assign[s])
+            TermShardActor.remote(index_dir, assign[s],
+                                  self._segments.seg_ids)
             for s in range(self.n_shards)
         ]
 
