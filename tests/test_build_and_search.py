@@ -16,7 +16,7 @@ from yetisearch_ray.search.engine import SearchEngine, open_index
 K1, B = 1.2, 0.75
 
 # DuckDB replica of the FTS5 BM25 math over the raw corpus table —
-# completely independent of the engine's posting/varbyte path.
+# completely independent of the engine's posting codec.
 _ORACLE = r"""
 WITH corpus AS (
   SELECT row_number() OVER (ORDER BY repo, path, "commit") - 1 AS doc_id,

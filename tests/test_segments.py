@@ -11,7 +11,8 @@
   that does not decompress, a dictionary that does not parse.  Other
   partitions are still served.
 - ``IndexReader.close`` releases the open ``.blk`` files.
-- ``cli verify`` decodes every run and exits 1 on damage.
+- ``cli verify`` decodes every run and exits 1 on damage, naming the
+  term of a run that does not decode, whose fetch raises.
 - A format-1 index is refused, naming ``rebuild_index``, which
   rebuilds it.
 """
@@ -290,6 +291,29 @@ class TestVerify:
         assert code == 1 and not out["ok"]
         assert any(f"partition {part:05d} generation 0" in p
                    for p in out["problems"])
+
+    def test_verify_reports_an_undecodable_run(self, tmp_path):
+        """A run whose tf stream is one byte short, in a segment whose
+        id is still its manifest's: ``verify`` names its partition,
+        generation and term, and a reader's fetch of it raises."""
+        d, part, other = _damage_index(tmp_path)
+        with Segment(d, part, 0) as seg:
+            rows, seg_id = list(seg.runs()), seg.seg_id
+        short = [r[3][2][:-1] if r[0] == "w3" else r[3][2] for r in rows]
+        write_segment(d, part, 0, [r[0] for r in rows],
+                      [r[3][0] for r in rows], [r[1] for r in rows],
+                      [r[2] for r in rows], [r[3][1] for r in rows], short,
+                      [r[3][3] for r in rows], seg_id)
+        code, out = _verify(d)
+        assert code == 1 and not out["ok"]
+        (problem,) = out["problems"]
+        assert problem.startswith(f"partition {part:05d} generation 0 ")
+        assert problem.endswith("term 'w3' undecodable: ValueError('tf "
+                                "stream of 15 bytes does not hold 16 values')")
+        with pytest.raises(ValueError, match="tf stream"):
+            open_index(d).postings("w3")
+        assert SearchEngine(open_index(d), cache_ttl=0.0).search(
+            other, limit=100).num_rows > 0
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -19,7 +19,8 @@ manifest writes around it.
 - ``optimize_index`` merges only the doc lengths its manifest commits.
 - ``Manifest.save`` fsyncs the file before the rename and the directory
   after, and leaves no tmp file when the write fails.
-- Format 3 is refused until ``rebuild_index``.
+- Formats 3 and 4 are refused until ``rebuild_index``, which rebuilds
+  an index serving the same results.
 - The schema-less blocks Ray Data warns about during a build come from
   its sort (the ``groupby("part")`` exchange), not from our operators.
 """
@@ -37,7 +38,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from yetisearch_ray.index import segment
-from yetisearch_ray.index.manifest import Manifest
+from yetisearch_ray.index.manifest import FORMAT_VERSION, Manifest
 from yetisearch_ray.index.segment import (CorruptSegmentError, Segment,
                                           new_segment_id, write_doc_lengths,
                                           write_segment)
@@ -267,7 +268,7 @@ class TestSegmentIds:
         d, _ = self._index(tmp_path)
         ids = _segment_ids(d)
         man = Manifest.load(d)
-        assert man.data["format_version"] == 4
+        assert man.data["format_version"] == FORMAT_VERSION
         assert set(ids) == {(p, 0) for p in range(4)}
         assert len(set(ids.values())) == 4
         for (p, g), sid in ids.items():
@@ -322,15 +323,16 @@ class TestSegmentIds:
             if f"partition {part:05d} generation 0" in p]
         assert len(out["problems"]) == 1
 
-    def test_format_3_is_refused_until_rebuilt(self, tmp_path):
+    def _refused_until_rebuilt(self, tmp_path, version):
         from yetisearch_ray.index.manage import rebuild_index
 
         d, _ = self._index(tmp_path)
         want = _results(_engine(d))
         man = Manifest.load(d)
-        man.data["format_version"] = 3
-        for v in man.data["partitions"].values():
-            v.pop("seg_id")
+        man.data["format_version"] = version
+        if version < 4:  # segment ids came with format 4
+            for v in man.data["partitions"].values():
+                v.pop("seg_id")
         man.save()
         assert not Manifest.is_ready(d)
         with pytest.raises(ValueError, match="rebuild_index"):
@@ -338,6 +340,13 @@ class TestSegmentIds:
         rebuild_index(d)
         assert Manifest.is_ready(d) and len(_segment_ids(d)) == 4
         assert _results(_engine(d)) == want
+
+    def test_format_3_is_refused_until_rebuilt(self, tmp_path):
+        self._refused_until_rebuilt(tmp_path, 3)
+
+    def test_format_4_is_refused_until_rebuilt(self, tmp_path):
+        """Format 4 held varbyte posting runs."""
+        self._refused_until_rebuilt(tmp_path, 4)
 
 
 def _rewrite(d, part):

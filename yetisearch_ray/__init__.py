@@ -7,7 +7,7 @@ as an idiomatic Ray Data pipeline:
 - ``ray.data.Dataset`` + ``map_batches`` over zero-copy Arrow batches for the
   analysis chain (tokenize / chunk / normalize),
 - an explicit term-hash-partitioned shuffle (``groupby("part").map_groups``)
-  building sorted, delta+varbyte-compressed posting lists per partition,
+  building sorted, delta-encoded, fixed-width packed posting lists per partition,
 - per-partition segment files + manifest for resumable builds,
 - a stateful query engine (usable standalone or as a ``map_batches`` actor
   pool) implementing SQLite-FTS5 BM25 semantics (k1=1.2, b=0.75, negated,

@@ -1,10 +1,8 @@
-from .postings import varbyte_encode, varbyte_decode, encode_postings, decode_postings
+from .postings import encode_postings, decode_postings
 from .build import build_index, IndexConfig
 from .manifest import Manifest
 
 __all__ = [
-    "varbyte_encode",
-    "varbyte_decode",
     "encode_postings",
     "decode_postings",
     "build_index",

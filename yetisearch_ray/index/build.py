@@ -35,14 +35,14 @@ Scale design:
   manifest with lineage + metrics; a resumed build filters
   already-committed partitions out of the shuffle *before* the
   exchange, so finished work costs nothing but the tokenize scan.
-- Postings are sorted by doc_id and delta+varbyte encoded
-  (``postings.py``), positions optional (needed for phrase/NEAR).
+- Postings are sorted by doc_id, delta-encoded and packed at a fixed
+  width per run (``postings.py``), positions optional (needed for
+  phrase/NEAR).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -452,10 +452,11 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
     """Per-partition group → sorted, encoded segment + metrics row.
 
     Runs inside ``groupby("part").map_groups``: sorts the whole partition by
-    (term, field, doc_id), detects term runs, varbyte-encodes each run and
-    writes them with ``segment.write_segment``, whose atomic writes make
-    re-execution idempotent — Ray task retries or build resumes can never
-    leave a torn segment.
+    (term, field, doc_id), detects term runs, encodes them all in one
+    ``encode_postings_bulk`` call and writes them with
+    ``segment.write_segment``, whose atomic writes make re-execution
+    idempotent — Ray task retries or build resumes can never leave a torn
+    segment.
     """
 
     def fn(group: pa.Table) -> pa.Table:
@@ -532,7 +533,7 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
         # duplicate (term, doc) rows can only appear with sub-partition
         # salting (not emitted yet) or doc re-adds within one generation;
         # detect affected runs and handle them individually, bulk-encode
-        # the rest (one varbyte pass per stream — no per-run numpy setup)
+        # the rest in one pass per stream (no per-run numpy setup)
         dup_row = np.zeros(s_docs.size, dtype=bool)
         if s_docs.size > 1:
             dup_row[1:] = (s_docs[1:] == s_docs[:-1]) & ~run_start[1:]
@@ -643,21 +644,11 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
     emitted = ds.map_batches(
         _emit_postings_batch(cfg, skip, index_dir, hot_map, split_map),
         batch_format="pyarrow", batch_size=None)
-    # Segment build runs at num_cpus=1 (one slot per single-threaded
-    # task — idiomatic Ray sizing).  Round 2's 2-slot throttle on >=16
-    # CPU hosts ("memory-bandwidth-bound, 15x CPU inflation at 32-way")
-    # was a degraded-host workaround (paging-bound segment writes); in
-    # a healthy window it just halves reduce concurrency — interleaved
-    # min-of-3 at 600k docs measured 10.17 s vs 11.66 s at 16 CPUs and
-    # 7.15 s vs 7.63 s at 32 (round 4), lifting 4->16 scaling
-    # efficiency from 0.75 to 0.87.  YS_SEG_CPUS=2 restores the
-    # throttle on memory-bandwidth-starved hosts.
-    seg_cpus = int(os.environ.get("YS_SEG_CPUS", "1"))
     t_ex = time.perf_counter()
     metrics = (
         emitted.groupby("part")
         .map_groups(_build_segment(index_dir, cfg.positions, gen),
-                    batch_format="pyarrow", num_cpus=seg_cpus)
+                    batch_format="pyarrow", num_cpus=1)
     )
     # The plan is map -> all-to-all -> tiny metrics reduce: the sort
     # barrier materializes the combined blobs regardless of allocator

@@ -165,13 +165,7 @@ def _merge_partition(index_dir: str, part: int, gens: list[int],
             keep = ~np.isin(d, dead)
             if not keep.all():
                 if p is not None:
-                    tf64 = f.astype(np.int64)
-                    starts = np.cumsum(tf64) - tf64
-                    kept_rows = np.flatnonzero(keep)
-                    sel = np.concatenate(
-                        [np.arange(starts[j], starts[j] + tf64[j]) for j in kept_rows]
-                    ) if kept_rows.size else np.empty(0, np.int64)
-                    p = p[sel]
+                    p = p[np.repeat(keep, f.astype(np.int64))]
                 d, f = d[keep], f[keep]
         if d.size == 0:
             continue

@@ -22,9 +22,10 @@ MANIFEST_NAME = "manifest.json"
 # 3: a manifest-listed docstore of Arrow IPC chunks (``docstore.py``).
 # 4: a segment id per committed (partition, generation) in its entry
 #    and its files (``segment.py``).
+# 5: fixed-width posting runs in place of varbyte (``postings.py``).
 # No reader of older formats is kept: ``manage.rebuild_index`` rebuilds
 # an index from its docstore in the current format.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass

@@ -1,129 +1,133 @@
-"""Delta + varbyte posting-list codec (vectorized with numpy).
+"""Fixed-width posting-list codec (vectorized with numpy).
 
-FTS5 keeps its postings in delta/varint-compressed doclists inside SQLite
-b-tree pages (public FTS5 file-format docs); we use the same classic
-encoding: little-endian base-128 varints with the high bit as
-continuation, doc_ids delta-encoded (first absolute), term frequencies
-raw varints, and positions as per-document delta-encoded ordinal lists
-whose group sizes are the tfs.  Each (term, field) run is three blobs
-(docs, tfs, pos); ``segment.py`` stores them in compressed blocks behind
-a sorted term dictionary, the counterpart of FTS5's b-tree pages.
+Each (term, field) run is three blobs (docs, tfs, pos); ``segment.py``
+stores them in zstd-compressed blocks behind a sorted term dictionary,
+the counterpart of FTS5's b-tree pages.  A run of ``n`` docs is:
 
-Encode and decode are numpy-vectorized — no per-integer Python loop — so
-the posting-build `map_groups` stage and the query actor's decode path
-stay off the Python bytecode hot path.
+- **docs** — one width byte ``w``, then the ``n`` doc-id deltas (the
+  first is the absolute id) as little-endian ``uint{8w}``;
+- **tfs** — the ``n`` term frequencies at width ``len(tfs) / n``;
+- **pos** — the ``sum(tfs)`` positions, each doc's list delta-encoded
+  from its first (absolute) position, at width ``len(pos) / sum(tfs)``;
+  empty when the run stores no positions.
+
+Each stream is stored at the narrowest of 1, 2, 4 and 8 bytes that
+holds its largest value.  The block compression removes the zero high
+bytes a varint codec exists to avoid, so a fixed width costs no bytes
+and decodes with one ``np.frombuffer`` and one ``cumsum`` per stream
+(block-wise fixed-width packing: Lemire & Boytsov, "Decoding billions
+of integers per second through vectorization", SPE 2015).  A stream
+whose length or width byte does not fit this layout raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK = np.uint64(0x7F)
+_DTYPES = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
+_WIDTHS = np.array(sorted(_DTYPES), np.int64)
+_LIMITS = np.array([1 << 8, 1 << 16, 1 << 32], np.uint64)
 
 
-def varbyte_encode(values: np.ndarray) -> bytes:
-    """Encode a uint64 array as little-endian base-128 varints."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b""
-    # bytes needed per value: ceil(bitlen/7), min 1
-    nbits = np.zeros(v.shape, dtype=np.int64)
-    tmp = v.copy()
-    nb = np.ones(v.shape, dtype=np.int64)
-    tmp >>= np.uint64(7)
-    while tmp.any():
-        nb += (tmp > 0).astype(np.int64)
-        tmp >>= np.uint64(7)
-    del nbits
-    total = int(nb.sum())
-    out = np.empty(total, dtype=np.uint8)
-    # position of each value's first byte
-    starts = np.cumsum(nb) - nb
-    # write up to 10 rounds (64/7 -> max 10 bytes)
-    remaining = v.copy()
-    active = np.ones(v.shape, dtype=bool)
-    offset = np.zeros(v.shape, dtype=np.int64)
-    while active.any():
-        idx = starts[active] + offset[active]
-        byte = (remaining[active] & _MASK).astype(np.uint8)
-        more = offset[active] < (nb[active] - 1)
-        out[idx] = np.where(more, byte | np.uint8(0x80), byte)
-        remaining[active] >>= np.uint64(7)
-        offset[active] += 1
-        active = offset < nb
-    return out.tobytes()
-
-
-def varbyte_decode(buf: bytes, count: int | None = None) -> np.ndarray:
-    """Decode varints into a uint64 array."""
-    b = np.frombuffer(buf, dtype=np.uint8)
-    if b.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    ends = np.flatnonzero(b < 128)
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    # group index per byte + offset within group
-    gidx = np.searchsorted(ends, np.arange(b.size))
-    within = np.arange(b.size) - starts[gidx]
-    contrib = (b.astype(np.uint64) & _MASK) << (np.uint64(7) * within.astype(np.uint64))
-    vals = np.add.reduceat(contrib, starts)
-    if count is not None:
-        assert vals.size == count, f"decoded {vals.size} != expected {count}"
-    return vals
-
-
-def delta_encode(sorted_ids: np.ndarray) -> np.ndarray:
-    ids = np.asarray(sorted_ids, dtype=np.uint64)
-    out = ids.copy()
-    out[1:] = ids[1:] - ids[:-1]
+def _pack(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+          header: bool) -> list[bytes]:
+    """The bytes of each run ``values[starts[i]:ends[i]]`` at its
+    narrowest width, led by the width byte when ``header``.  The runs
+    tile ``values`` in order and are not empty unless ``values`` is."""
+    lens = ends - starts
+    peaks = (np.maximum.reduceat(values, starts) if values.size
+             else np.zeros(lens.size, np.uint64))
+    widths = _WIDTHS[np.searchsorted(_LIMITS, peaks, side="right")]
+    value_widths = np.repeat(widths, lens)
+    out = [b""] * lens.size
+    for w in np.unique(widths).tolist():
+        runs = np.flatnonzero(widths == w)
+        buf = values[value_widths == w].astype(_DTYPES[w]).tobytes()
+        off = np.concatenate(([0], np.cumsum(lens[runs] * w))).tolist()
+        head = bytes((w,)) if header else b""
+        for r, a, b in zip(runs.tolist(), off, off[1:]):
+            out[r] = head + buf[a:b]
     return out
 
 
-def delta_decode(deltas: np.ndarray) -> np.ndarray:
-    return np.cumsum(np.asarray(deltas, dtype=np.uint64), dtype=np.uint64)
+def _restart_deltas(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Successive differences of ``values``, restarting (the value
+    itself) at each of ``starts``."""
+    d = values.copy()
+    if d.size:
+        d[1:] -= values[:-1]
+        d[starts] = values[starts]
+    return d
+
+
+def _unpack(blob: bytes, count: int, what: str) -> np.ndarray:
+    """The ``count`` values of a headerless stream, at the width its
+    length implies."""
+    w = len(blob) // count if count else 1  # no values: only b"" fits
+    if w not in _DTYPES or w * count != len(blob):
+        raise ValueError(f"{what} stream of {len(blob)} bytes does not "
+                         f"hold {count} values")
+    return np.frombuffer(blob, _DTYPES[w]).astype(np.uint64)
+
+
+def encode_postings_bulk(docs: np.ndarray, tfs: np.ndarray,
+                         positions: np.ndarray | None,
+                         run_starts: np.ndarray, run_ends: np.ndarray):
+    """Encode many posting runs at once: ``docs``/``tfs`` are row
+    arrays and run ``i`` is rows ``[run_starts[i], run_ends[i])``; the
+    runs tile the rows in order, each with its docs ascending and
+    unique.  ``positions`` is the flat stream of every row's ascending
+    positions (group sizes = tfs), or None.  Returns the lists
+    (doc_blobs, tf_blobs, pos_blobs), one entry per run."""
+    docs = np.ascontiguousarray(docs, dtype=np.uint64)
+    tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
+    doc_blobs = _pack(_restart_deltas(docs, run_starts), run_starts,
+                      run_ends, header=True)
+    tf_blobs = _pack(tfs, run_starts, run_ends, header=False)
+    if positions is None or len(positions) == 0:
+        return doc_blobs, tf_blobs, [b""] * len(doc_blobs)
+    pos = np.ascontiguousarray(positions, dtype=np.uint64)
+    # row -> offset of its first position
+    row_pos = np.concatenate(([0], np.cumsum(tfs, dtype=np.int64)))
+    pos_blobs = _pack(_restart_deltas(pos, row_pos[:-1]), row_pos[run_starts],
+                      row_pos[run_ends], header=False)
+    return doc_blobs, tf_blobs, pos_blobs
 
 
 def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray,
                     positions: np.ndarray | None = None) -> tuple[bytes, bytes, bytes]:
-    """Encode one term's posting list.
-
-    doc_ids must be sorted ascending; positions (optional) is the
-    concatenation of per-doc position lists whose group sizes are ``tfs``
-    (ascending within each doc).
-    Returns (doc_blob, tf_blob, pos_blob).
-    """
-    doc_blob = varbyte_encode(delta_encode(doc_ids))
-    tf_blob = varbyte_encode(np.asarray(tfs, dtype=np.uint64))
-    if positions is None or len(positions) == 0:
-        return doc_blob, tf_blob, b""
-    pos = np.asarray(positions, dtype=np.uint64)
-    tfs64 = np.asarray(tfs, dtype=np.int64)
-    group_starts = np.cumsum(tfs64) - tfs64
-    deltas = pos.copy()
-    deltas[1:] = pos[1:] - pos[:-1]
-    deltas[group_starts] = pos[group_starts]  # restart delta at each doc
-    return doc_blob, tf_blob, varbyte_encode(deltas)
+    """Encode one term's posting list (``encode_postings_bulk`` of one
+    run): doc_ids ascending and unique, positions (optional) the
+    concatenation of per-doc ascending position lists whose group sizes
+    are ``tfs``.  Returns (doc_blob, tf_blob, pos_blob)."""
+    blobs = encode_postings_bulk(doc_ids, tfs, positions, np.zeros(1, np.int64),
+                                 np.array([len(doc_ids)]))
+    return tuple(b[0] for b in blobs)
 
 
 def decode_postings(doc_blob: bytes, tf_blob: bytes, pos_blob: bytes = b""):
-    """Decode to (doc_ids, tfs, positions_or_None). positions is the flat
-    array; per-doc boundaries are reconstructed from tfs."""
-    doc_ids = delta_decode(varbyte_decode(doc_blob))
-    tfs = varbyte_decode(tf_blob, count=doc_ids.size)
-    positions = None
-    if pos_blob:
-        deltas = varbyte_decode(pos_blob)
-        tfs64 = tfs.astype(np.int64)
-        starts = np.cumsum(tfs64) - tfs64
-        full = np.cumsum(deltas, dtype=np.uint64)
-        # per-group cumsum = full cumsum minus the value accumulated before
-        # each group's first element
-        carry_per_group = np.zeros(tfs64.size, dtype=np.uint64)
-        if starts.size > 1:
-            carry_per_group[1:] = full[starts[1:] - 1]
-        positions = full - np.repeat(carry_per_group, tfs64)
-    return doc_ids, tfs, positions
+    """Decode to (doc_ids, tfs, positions_or_None), all uint64;
+    positions is the flat array, its per-doc boundaries given by tfs.
+    Raises ``ValueError`` on blobs that do not fit the layout."""
+    if not doc_blob or doc_blob[0] not in _DTYPES:
+        raise ValueError(f"doc stream width byte {doc_blob[:1]!r} "
+                         f"is not one of 1, 2, 4, 8")
+    w = doc_blob[0]
+    if (len(doc_blob) - 1) % w:
+        raise ValueError(f"doc stream of {len(doc_blob) - 1} bytes is not "
+                         f"a whole number of {w}-byte values")
+    doc_ids = np.cumsum(np.frombuffer(doc_blob, _DTYPES[w], offset=1),
+                        dtype=np.uint64)
+    tfs = _unpack(tf_blob, doc_ids.size, "tf")
+    if not pos_blob:
+        return doc_ids, tfs, None
+    tf64 = tfs.astype(np.int64)
+    full = np.cumsum(_unpack(pos_blob, int(tf64.sum()), "position"),
+                     dtype=np.uint64)
+    # per-doc running sums: subtract what accumulated before each doc
+    before = np.insert(full, 0, 0)[np.cumsum(tf64) - tf64]
+    return doc_ids, tfs, full - np.repeat(before, tf64)
 
 
 def merge_postings(parts):
@@ -160,78 +164,3 @@ def merge_postings(parts):
     row_off = np.cumsum(lens_o) - lens_o
     within -= np.repeat(row_off, lens_o)
     return docs, tfs_o, flat[gstarts + within]
-
-
-def _varbyte_encode_with_lengths(values: np.ndarray):
-    """varbyte encode + per-value byte lengths (for bulk slicing)."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b"", np.empty(0, dtype=np.int64)
-    tmp = v.copy()
-    nb = np.ones(v.shape, dtype=np.int64)
-    tmp >>= np.uint64(7)
-    while tmp.any():
-        nb += (tmp > 0).astype(np.int64)
-        tmp >>= np.uint64(7)
-    total = int(nb.sum())
-    out = np.empty(total, dtype=np.uint8)
-    starts = np.cumsum(nb) - nb
-    remaining = v.copy()
-    active = np.ones(v.shape, dtype=bool)
-    offset = np.zeros(v.shape, dtype=np.int64)
-    while active.any():
-        idx = starts[active] + offset[active]
-        byte = (remaining[active] & _MASK).astype(np.uint8)
-        more = offset[active] < (nb[active] - 1)
-        out[idx] = np.where(more, byte | np.uint8(0x80), byte)
-        remaining[active] >>= np.uint64(7)
-        offset[active] += 1
-        active = offset < nb
-    return out.tobytes(), nb
-
-
-def encode_postings_bulk(docs: np.ndarray, tfs: np.ndarray,
-                         positions: np.ndarray | None,
-                         run_starts: np.ndarray, run_ends: np.ndarray):
-    """Encode MANY posting runs at once (one varbyte pass per stream,
-    per-run output via byte-offset slicing — no per-run numpy setup).
-
-    ``docs``/``tfs`` are the partition's sorted row arrays; runs are
-    [run_starts[i], run_ends[i]) slices with docs sorted ascending and
-    UNIQUE within each run (callers handle duplicate-doc runs separately).
-    ``positions`` is the flat per-doc-sorted position stream aligned with
-    rows (group sizes = tfs).  Returns (doc_blobs, tf_blobs, pos_blobs)
-    lists of bytes per run.
-    """
-    docs = np.ascontiguousarray(docs, dtype=np.uint64)
-    tfs64 = np.ascontiguousarray(tfs, dtype=np.uint64)
-    n = docs.size
-    # doc deltas with restart at each run start
-    deltas = docs.copy()
-    deltas[1:] -= docs[:-1]
-    deltas[run_starts] = docs[run_starts]
-    doc_buf, doc_nb = _varbyte_encode_with_lengths(deltas)
-    tf_buf, tf_nb = _varbyte_encode_with_lengths(tfs64)
-    doc_off = np.concatenate(([0], np.cumsum(doc_nb)))
-    tf_off = np.concatenate(([0], np.cumsum(tf_nb)))
-    doc_blobs = [doc_buf[doc_off[s]:doc_off[e]] for s, e in zip(run_starts, run_ends)]
-    tf_blobs = [tf_buf[tf_off[s]:tf_off[e]] for s, e in zip(run_starts, run_ends)]
-    if positions is None or positions.size == 0:
-        empty = b""
-        return doc_blobs, tf_blobs, [empty] * len(doc_blobs)
-    pos = np.ascontiguousarray(positions, dtype=np.uint64)
-    t64 = tfs64.astype(np.int64)
-    doc_pos_starts = np.cumsum(t64) - t64          # per-row group start
-    pdeltas = pos.copy()
-    pdeltas[1:] -= pos[:-1]
-    pdeltas[doc_pos_starts] = pos[doc_pos_starts]  # restart per doc
-    pos_buf, pos_nb = _varbyte_encode_with_lengths(pdeltas)
-    pos_val_off = np.concatenate(([0], np.cumsum(pos_nb)))
-    # run boundary in the position stream = group start of the run's first row
-    run_pos_starts = doc_pos_starts[run_starts]
-    run_pos_ends = np.where(run_ends < n, doc_pos_starts[np.minimum(run_ends, n - 1)],
-                            pos.size)
-    run_pos_ends[run_ends >= n] = pos.size
-    pos_blobs = [pos_buf[pos_val_off[s]:pos_val_off[e]]
-                 for s, e in zip(run_pos_starts, run_pos_ends)]
-    return doc_blobs, tf_blobs, pos_blobs

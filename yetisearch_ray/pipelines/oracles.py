@@ -2,8 +2,8 @@
 
 Each function returns an ANSI-SQL string that recomputes a pipeline's
 result from the raw tables, fully independently of the engine (no
-postings, no varbyte, no Ray) — the driver runs these side-by-side with
-the Ray pipelines and hash-compares values.  Column names and rounding
+postings, no posting codec, no Ray) — they run side-by-side with the
+Ray pipelines and their values are hash-compared.  Column names and rounding
 MUST match the corresponding ``queries()`` callables exactly.
 
 The BM25 CTE replicates the publicly documented SQLite-FTS5 formula
