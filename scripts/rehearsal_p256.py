@@ -116,7 +116,7 @@ def main() -> None:
     eng = SearchEngine(rd)
     res = {"after_open": meta_bytes(rd)}
     rd._load_meta()
-    res["after_doclens"] = meta_bytes(rd)
+    res["after_doc_lengths"] = meta_bytes(rd)
     rd._load_col("lang")
     res["after_lang_col"] = meta_bytes(rd)
     # hottest terms by sketch → postings LRU residency sample
@@ -130,7 +130,8 @@ def main() -> None:
             if p.positions is not None:
                 cache_bytes += p.positions.nbytes
     res["postings_lru_16_hot_terms"] = int(cache_bytes)
-    res["note"] = ("doclens + one filter column are the only per-replica "
+    res["note"] = ("doc lengths (the docstore's dl column) + one filter "
+                   "column are the only per-replica "
                    "resident arrays; postings stream per-term via the LRU. "
                    "At cluster scale both shard by doc range (SearchActor "
                    "axis) / term partition (sharded.py axis).")

@@ -396,10 +396,9 @@ class TestEngineFeatures:
         for k in victims:
             part = int(k.split(":")[1])
             man.data["partitions"].pop(k)
-            for d in ("postings", "doclens"):
-                for f in _glob.glob(os.path.join(
-                        b, d, f"part={part:05d}-*.parquet")):
-                    os.remove(f)
+            for f in _glob.glob(os.path.join(
+                    b, "postings", f"part={part:05d}-*.parquet")):
+                os.remove(f)
         man.data["status"] = "building"
         man.save()
         build_index(rd.from_items(rows), b, cfg(), resume=True)

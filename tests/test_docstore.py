@@ -7,9 +7,11 @@
 - Damage fails loudly, naming the chunk and its id range: a missing
   chunk, a truncated or garbled one, batch-range metadata that is
   missing or wrong.  None of them reads as absent rows.
-- A doc-meta id without a docstore row is a ``KeyError`` for a filter
-  column, not another doc's value.
-- ``cli verify`` reads every chunk and compares its ids with doclens.
+- Doc lengths are a chunk column (``DL_COLUMN``) that no stored-row
+  read shows; the reserved name cannot be a user column.
+- ``cli verify`` reads every chunk and exits 1 on a chunk id other than
+  its entry's, a chunk without a doc length per row, and row or length
+  sums that disagree with the stats or the entries' ``sum_dl``.
 - ``optimize_index`` rewrites the chunks that held deleted rows and
   removes the files it no longer lists.
 - A format-2 index (Parquet docstore) is refused until
@@ -201,27 +203,61 @@ class TestDamage:
             open_index(d).docs([305])
 
 
-def _drop_row(d, doc_id):
-    """Rewrite chunk 0 without ``doc_id``, its manifest entry to match:
-    a consistent docstore that lacks a doc doclens has."""
-    t = _chunk_table(d, 0)
-    t = t.filter(pa.compute.not_equal(t["doc_id"], doc_id))
-    entry = docstore.write_chunk(d, t, "doc_id")
-    man = Manifest.load(d)
-    assert man.data["docstore"]["chunks"][0]["name"] == entry["name"]
-    man.data["docstore"]["chunks"][0].update(entry)
-    man.save()
-
-
 @pytest.mark.usefixtures("ray_session")
-def test_filter_column_without_a_docstore_row_raises(tmp_path):
+def test_doc_lengths_never_show_in_stored_rows(tmp_path):
     d, _, _ = _index(tmp_path)
-    _drop_row(d, 7)
-    eng = SearchEngine(open_index(d), cache_ttl=0.0)
-    assert eng.search("alpha", limit=5).num_rows  # unfiltered: unaffected
-    # a clamped lookup would give doc 7 doc 8's language
-    with pytest.raises(KeyError, match=r"docstore row .*\[7\]"):
-        eng.search("alpha", language="go", limit=100)
+    stored = ["doc_id", "lang", "body"]
+    reader = open_index(d)
+    assert reader.docs([5, 305]).column_names == stored
+    assert reader._docstore.schema.names == stored
+    with DocStore.committed(d) as store:
+        assert store.scan().column_names == stored
+        lens = store.scan(["doc_id", docstore.DL_COLUMN])
+    eng = SearchEngine(reader, cache_ttl=0.0)
+    got = eng.search("alpha", limit=5, with_docs=True, highlight=True)
+    assert docstore.DL_COLUMN not in got.column_names
+    assert set(stored) <= set(got.column_names)
+    # the column is each doc's token count (one field, "body")
+    body = _table(range(600))["body"].to_pylist()
+    assert lens[docstore.DL_COLUMN].to_pylist() == [
+        len(b.split()) for b in body]
+    assert reader.dl_total_for(np.array([7], np.uint64)).tolist() == [
+        len(body[7].split())]
+
+
+def test_column_arrays_of_chunks_typed_apart(tmp_path):
+    """A column that one chunk types otherwise (an append whose batch
+    held no value for it) reads as a scan casts it, not as numpy's
+    concatenation of the two."""
+    d = str(tmp_path)
+    entries = [
+        docstore.write_chunk(d, pa.table({
+            "doc_id": pa.array([0, 1], pa.uint64()),
+            "n": pa.array([4, 5], pa.int64())}), "doc_id", [1, 2]),
+        docstore.write_chunk(d, pa.table({
+            "doc_id": pa.array([2], pa.uint64()),
+            "n": pa.array([None], pa.null())}), "doc_id", [3])]
+    with DocStore(d, entries, "doc_id") as store:
+        ids, n = store.column_arrays("n")
+        want = store.scan(["n"])["n"].to_numpy(zero_copy_only=False)
+        assert ids.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(n, want)  # float, NaN for the null
+        assert store.column_arrays(docstore.DL_COLUMN)[1].tolist() == \
+            [1, 2, 3]
+
+
+@pytest.mark.parametrize("where", ["store_columns", "fields", "id_column",
+                                   "language_column"])
+def test_reserved_doc_length_name_is_refused(where):
+    from yetisearch_ray.index.build import IndexConfig
+
+    kw = {"fields": [("body", "body")], "store_columns": ["body"]}
+    name = docstore.DL_COLUMN
+    kw.update({"store_columns": ["body", name]} if where == "store_columns"
+              else {"fields": [("body", name)]} if where == "fields"
+              else {where: name})
+    with pytest.raises(ValueError, match="reserved"):
+        IndexConfig(**kw)
 
 
 def _verify(d):
@@ -249,12 +285,49 @@ class TestVerify:
         assert code == 1 and not out["ok"]
         assert any(chunk["name"] in p for p in out["problems"])
 
-    def test_docstore_without_a_doclens_id(self, tmp_path):
-        d, _, _ = _index(tmp_path)
-        _drop_row(d, 7)
+    def test_chunk_rewritten_under_its_name(self, tmp_path):
+        """Same rows, same name, a fresh chunk id: not the committed
+        chunk."""
+        d, chunk, path = _index(tmp_path)
+        with DocStore.committed(d) as store:
+            t = store.chunk(1).read(["doc_id", "lang", "body",
+                                     docstore.DL_COLUMN])
+        e = docstore.write_chunk(d, t.drop_columns([docstore.DL_COLUMN]),
+                                 "doc_id", t[docstore.DL_COLUMN].to_numpy())
+        assert e["name"] == chunk["name"]
+        assert e["chunk_id"] != chunk["chunk_id"]
         code, out = _verify(d)
         assert code == 1
-        assert any("doclens only [7]" in p for p in out["problems"])
+        assert any(chunk["name"] in p and "chunk id" in p
+                   for p in out["problems"]), out
+        with pytest.raises(CorruptSegmentError, match="chunk id"):
+            open_index(d).docs([305])
+
+    @pytest.mark.parametrize("damage", ["no column", "nulls"])
+    def test_chunk_without_a_length_per_row(self, tmp_path, damage):
+        d, chunk, path = _index(tmp_path)
+        t = _chunk_table(d)
+        if damage == "nulls":
+            t = t.append_column(docstore.DL_COLUMN, pa.array(
+                [None] * 5 + [3] * (t.num_rows - 5), pa.uint32()))
+        _rewrite(path, t, _meta(path))  # its chunk id kept
+        code, out = _verify(d)
+        assert code == 1
+        assert any(chunk["name"] in p for p in out["problems"]), out
+
+    @pytest.mark.parametrize("field", ["n_docs", "total_dl", "sum_dl"])
+    def test_sums_disagree(self, tmp_path, field):
+        d, chunk, _ = _index(tmp_path)
+        man = Manifest.load(d)
+        if field == "sum_dl":
+            man.data["docstore"]["chunks"][1]["sum_dl"] += 1
+        else:
+            man.data["stats"][field] += 1
+        man.save()
+        code, out = _verify(d)
+        assert code == 1
+        named = chunk["name"] if field == "sum_dl" else f"stats {field}"
+        assert any(named in p for p in out["problems"]), out
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from yetisearch_ray.index import docstore
 from yetisearch_ray.index.docstore import DocStore
+from yetisearch_ray.index.manifest import Manifest
 from yetisearch_ray.search.engine import (SearchEngine, compile_query,
                                           make_snippet, open_index)
 
@@ -65,11 +66,15 @@ def layouts(ray_session, tmp_path_factory):
     build_index(rd.from_items(_rows(0, 90, offset=1)).repartition(3),
                 out["interleaved"], cfg, append=True)
     shutil.copytree(out["appended"], out["one_row_batches"])
-    with DocStore.committed(out["one_row_batches"]) as store, \
+    man = Manifest.load(out["one_row_batches"])
+    with DocStore.committed(out["one_row_batches"], man) as store, \
             mock.patch.object(docstore, "DOC_ROWS", 1):
-        for i in range(len(store.chunks)):  # same names: same id ranges
-            docstore.write_chunk(out["one_row_batches"],
-                                 store.chunk(i).read(COLUMNS), "doc_id")
+        for i, c in enumerate(store.chunks):  # same names: same id ranges
+            t = store.chunk(i).read(COLUMNS + [docstore.DL_COLUMN])
+            c.update(docstore.write_chunk(
+                out["one_row_batches"], t.select(COLUMNS), "doc_id",
+                t[docstore.DL_COLUMN].to_numpy()))
+    man.save()  # the rewritten chunks' ids
     return out
 
 

@@ -141,3 +141,31 @@ class TestFacade:
         ys.create_index("one", fields=["title", "content"])
         assert ys.index_document("one", self.DOCS[0]) == 1
         assert ys.count_documents("one") == 1
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_appends_after_optimize_take_fresh_ids(tmp_path):
+    """An append numbers its docs from one past the largest id the
+    docstore holds; ``optimize`` lowering ``n_docs`` must not hand out a
+    live id again."""
+    ys = YetiSearchRay(str(tmp_path / "indexes"))
+    ys.create_index("books", fields=["title", "content"], num_partitions=4)
+
+    def add(texts):
+        ys.index_batch("books", [{"content": {"title": t, "content": "doc"}}
+                                 for t in texts])
+        return ys.last_assigned_ids
+
+    assert add([f"alpha{i}" for i in range(10)]) == list(range(10))
+    first_append = add(["w0", "w1", "w2", "w3"])
+    ys.delete("books", [0, 1, 2])
+    ys.optimize("books")
+    late = add(["bravo", "charlie"])
+    live = set(range(3, 10)) | set(first_append) | set(late)
+    assert len(live) == 13 and not set(late) & set(first_append)
+    got = ys.search("books", "doc", limit=100)["doc_id"].to_pylist()
+    assert sorted(got) == sorted(live)
+    bravo = ys.search("books", "bravo", limit=10)["doc_id"].to_pylist()
+    charlie = ys.search("books", "charlie", limit=10)["doc_id"].to_pylist()
+    assert bravo == [late[0]] and charlie == [late[1]]
+    ys.close()

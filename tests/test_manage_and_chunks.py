@@ -184,9 +184,10 @@ class TestManagement:
     def test_meta_lookup_non_dense_after_optimize(self, small_index):
         """Delete + optimize leaves gaps in the doc_id space, so the
         dense direct-index fast path must disable itself and the sorted
-        fallback must return exactly the doclens parquet values."""
+        fallback must return exactly the stored doc lengths."""
         import numpy as np
-        import pyarrow.parquet as pq
+
+        from yetisearch_ray.index.docstore import DL_COLUMN, DocStore
 
         eng = SearchEngine(open_index(small_index))
         victim = eng.search("return", limit=1, normalize=False)["doc_id"][0].as_py()
@@ -195,9 +196,9 @@ class TestManagement:
         rd = open_index(small_index)
         rd._load_meta()
         assert rd._meta_dense is False  # gap at `victim`
-        dl = pq.read_table(os.path.join(small_index, "doclens"),
-                           columns=["doc_id", "dl"]).to_pandas()
-        truth = dict(zip(dl.doc_id, dl.dl))
+        with DocStore.committed(small_index) as store:
+            dl = store.scan(["doc_id", DL_COLUMN]).to_pandas()
+        truth = dict(zip(dl.doc_id, dl[DL_COLUMN]))
         probe = np.array(sorted(truth)[:50], dtype=np.uint64)
         got = rd.dl_total_for(probe)
         assert got.tolist() == [truth[d] for d in probe.tolist()]
@@ -373,8 +374,6 @@ class TestPartialResume:
         man.save()
         for p in dropped:
             for f in _glob.glob(os.path.join(idx, "postings", f"part={p:05d}*.parquet")):
-                os.remove(f)
-            for f in _glob.glob(os.path.join(idx, "doclens", f"part={p:05d}*.parquet")):
                 os.remove(f)
         kept_files = sorted(_glob.glob(os.path.join(idx, "postings", "*.parquet")))
         mtimes = {f: os.path.getmtime(f) for f in kept_files}

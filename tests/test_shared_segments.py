@@ -1,26 +1,33 @@
-"""Shared segment state (``yetisearch_ray/index/segment.py``) and the
-manifest writes around it.
+"""Shared segment state (``yetisearch_ray/index/segment.py``), shared
+docstore columns (``yetisearch_ray/index/docstore.py``) and the manifest
+writes around them.
 
-- A committed segment's dictionary and doc lengths load once per
-  process and are shared by every reader whose manifest commits the
-  segment, keyed by its segment id, not its file name: an
+- A committed segment's dictionary and a committed docstore chunk's
+  columns (its doc lengths among them) load once per process and are
+  shared by every reader whose manifest commits them, keyed by their
+  segment or chunk id, not their file name: an
   ``optimize_index`` that rewrites the ``-g000`` names while a reader
   of the old snapshot is alive, and dropping and re-creating an index
   at the same path, each leave the old reader on its snapshot and the
   new one on the new files.
 - A reader holds what other readers had loaded when it opened.
 - Threads opening readers at once end up sharing one copy.
-- The facade's write-then-search traffic loads only the new generation.
-- The registry empties once every reader is gone.
+- A reader opened after an append, and the facade's write-then-search
+  traffic, load only the new generation's segments and chunks.
+- The registries empty once every reader is gone.
 - A file whose segment id is not its manifest's, or a ``.blk`` that is
   not the file its shared dictionary was loaded against, raises
   ``CorruptSegmentError`` naming the partition and generation, and
-  ``cli verify`` exits 1 on a rewritten segment.
-- ``optimize_index`` merges only the doc lengths its manifest commits.
+  ``cli verify`` exits 1 on a rewritten segment; a chunk whose chunk id
+  is not its manifest's raises it naming the chunk.
+- ``optimize_index`` ignores a chunk its manifest does not commit.
+- A ``max_generation`` reader's corpus stats are those of an index
+  built from only those generations' docs.
 - ``Manifest.save`` fsyncs the file before the rename and the directory
   after, and leaves no tmp file when the write fails.
-- Formats 3 and 4 are refused until ``rebuild_index``, which rebuilds
-  an index serving the same results.
+- Formats 3, 4 and 5 are refused until ``rebuild_index``, which
+  rebuilds an index serving the same results (and, from format 5,
+  leaves no ``doclens/``).
 - The schema-less blocks Ray Data warns about during a build come from
   its sort (the ``groupby("part")`` exchange), not from our operators.
 """
@@ -34,13 +41,12 @@ import sys
 import threading
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
-from yetisearch_ray.index import segment
+from yetisearch_ray.index import docstore, segment
+from yetisearch_ray.index.docstore import DL_COLUMN, DocStore
 from yetisearch_ray.index.manifest import FORMAT_VERSION, Manifest
 from yetisearch_ray.index.segment import (CorruptSegmentError, Segment,
-                                          new_segment_id, write_doc_lengths,
                                           write_segment)
 from yetisearch_ray.search.engine import SearchEngine, open_index
 
@@ -78,25 +84,32 @@ def _results(eng):
 
 def _registered(d):
     root = os.path.realpath(d)
-    return [k for reg in (segment._DICTIONARIES, segment._DOC_LENGTHS)
+    return [k for reg in (segment._DICTIONARIES, docstore._COLUMNS)
             for k in list(reg.keys()) if k[0] == root]
 
 
 class _Loads:
-    """Spy on the loads of dictionaries and doc lengths from disk."""
+    """Spy on the loads from disk of dictionaries (``paths``, file
+    names) and chunk columns (``chunks``, ``(chunk name, column)``)."""
 
     def __init__(self, monkeypatch):
-        self.paths = []
-        for name in ("TermDictionary", "DocLengths"):
-            base = getattr(segment, name)
-            spy = type(name, (base,), {"__init__": self._init(base)})
-            monkeypatch.setattr(segment, name, spy)
+        self.paths, self.chunks = [], []
+        base = segment.TermDictionary
 
-    def _init(self, base):
-        def init(obj, path, *rest):
+        def load_dictionary(obj, path, *rest):
             self.paths.append(os.path.basename(path))
             base.__init__(obj, path, *rest)
-        return init
+
+        monkeypatch.setattr(segment, "TermDictionary", type(
+            "TermDictionary", (base,), {"__init__": load_dictionary}))
+        col_base = docstore.ChunkColumn
+
+        def load_column(obj, ch, id_column, col):
+            self.chunks.append((ch.name, col))
+            col_base.__init__(obj, ch, id_column, col)
+
+        monkeypatch.setattr(docstore, "ChunkColumn", type(
+            "ChunkColumn", (col_base,), {"__init__": load_column}))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -109,7 +122,8 @@ class TestSharing:
         loads = _Loads(monkeypatch)
         second = _engine(d)
         assert _results(second) == want
-        assert loads.paths == []  # every dictionary and doc length shared
+        # every dictionary and chunk column (doc lengths) shared
+        assert loads.paths == [] and loads.chunks == []
         for p in second.index._segments.part_gens:
             for a, b in zip(first.index._segments.partition(p),
                             second.index._segments.partition(p)):
@@ -129,7 +143,25 @@ class TestSharing:
         gc.collect()
         loads = _Loads(monkeypatch)
         assert _results(new) == want
-        assert loads.paths == []
+        assert loads.paths == [] and loads.chunks == []
+
+    def test_reader_after_append_loads_only_new_chunks(
+            self, tmp_path, monkeypatch):
+        d = str(tmp_path / "idx")
+        _build(d, _corpus(range(200)))
+        old = _engine(d)
+        _results(old)
+        _build(d, _corpus(range(200, 230), extra="zulu"), append=True,
+               tag="gen1")
+        new_chunks = {c["name"] for c in Manifest.load(d).docstore_chunks()
+                      if c["gen"] == 1}
+        loads = _Loads(monkeypatch)
+        new = _engine(d)
+        got = _results(new)
+        assert got[QUERIES.index("zulu")]  # the appended docs are served
+        assert sorted(loads.chunks) == sorted(
+            (name, DL_COLUMN) for name in new_chunks)
+        assert loads.paths and all("-g001." in p for p in loads.paths)
 
     def test_optimize_rewrite_with_old_reader_alive(self, tmp_path):
         d, ref = str(tmp_path / "idx"), str(tmp_path / "ref")
@@ -214,9 +246,10 @@ class TestSharing:
             for p in first.part_gens:
                 for x, y in zip(first.partition(p), segs.partition(p)):
                     assert x.dictionary is y.dictionary
-            assert segs._doc_lengths == first._doc_lengths
-            assert all(segs._doc_lengths[k] is v
-                       for k, v in first._doc_lengths.items())
+            cols = eng.index._docstore._columns
+            firsts = out[0][0].index._docstore._columns
+            assert cols.keys() == firsts.keys() and cols
+            assert all(cols[k] is v for k, v in firsts.items())
 
     def test_facade_search_after_write_loads_only_new_generation(
             self, tmp_path, monkeypatch):
@@ -238,6 +271,10 @@ class TestSharing:
         assert got["doc_id"][0].as_py() == new_id  # matches both terms
         assert loads.paths and all("-g001." in p for p in loads.paths), \
             loads.paths
+        chunks = Manifest.load(os.path.join(ys.root, "books")) \
+            .docstore_chunks()
+        assert loads.chunks == [(c["name"], DL_COLUMN) for c in chunks
+                                if c["gen"] == 1]
         ys.close()
 
     def test_registry_empties_when_readers_are_gone(self, tmp_path):
@@ -274,7 +311,11 @@ class TestSegmentIds:
         for (p, g), sid in ids.items():
             with Segment(d, p, g) as seg:
                 assert seg.seg_id == sid
-            assert segment.read_doc_lengths(d, p, g).seg_id == sid
+        with DocStore.committed(d, man) as store:
+            chunk_ids = [store.chunk(i).chunk_id
+                         for i in range(len(store.chunks))]
+            assert chunk_ids == [c["chunk_id"] for c in store.chunks]
+        assert len(set(chunk_ids)) == len(chunk_ids) > 0
 
     def test_rewritten_dictionary_is_refused(self, tmp_path):
         d, part = self._index(tmp_path)
@@ -284,13 +325,17 @@ class TestSegmentIds:
                                  f"generation 0 .*segment id"):
             _engine(d).search("w3")
 
-    def test_rewritten_doc_lengths_are_refused(self, tmp_path):
-        d, part = self._index(tmp_path)
-        dl = segment.read_doc_lengths(d, part, 0)
-        write_doc_lengths(d, part, 0, dl.ids, dl.dl, new_segment_id())
+    def test_rewritten_chunk_is_refused(self, tmp_path):
+        """The chunk holding the doc lengths, rewritten unchanged under
+        its own name and a new chunk id, leaving the manifest alone."""
+        d, _ = self._index(tmp_path)
+        (c,) = Manifest.load(d).docstore_chunks()
+        with DocStore.committed(d) as store:
+            t = store.chunk(0).read(["doc_id", "body", DL_COLUMN])
+        docstore.write_chunk(d, t.select(["doc_id", "body"]), "doc_id",
+                             t[DL_COLUMN].to_numpy())
         with pytest.raises(CorruptSegmentError,
-                           match=f"doc lengths of partition {part:05d} "
-                                 f"generation 0 .*segment id"):
+                           match=f"docstore chunk {c['name']} .*chunk id"):
             _engine(d).search("w3")
 
     def test_blocks_replaced_under_a_loaded_dictionary_are_refused(
@@ -333,12 +378,14 @@ class TestSegmentIds:
         if version < 4:  # segment ids came with format 4
             for v in man.data["partitions"].values():
                 v.pop("seg_id")
+        _to_format_5_docstore(d, man)
         man.save()
         assert not Manifest.is_ready(d)
         with pytest.raises(ValueError, match="rebuild_index"):
             open_index(d)
         rebuild_index(d)
         assert Manifest.is_ready(d) and len(_segment_ids(d)) == 4
+        assert not os.path.exists(os.path.join(d, "doclens"))
         assert _results(_engine(d)) == want
 
     def test_format_3_is_refused_until_rebuilt(self, tmp_path):
@@ -347,6 +394,35 @@ class TestSegmentIds:
     def test_format_4_is_refused_until_rebuilt(self, tmp_path):
         """Format 4 held varbyte posting runs."""
         self._refused_until_rebuilt(tmp_path, 4)
+
+    def test_format_5_is_refused_until_rebuilt(self, tmp_path):
+        """Format 5 kept doc lengths in ``doclens/`` Parquet files and
+        chunks without a length column, chunk id or ``sum_dl``."""
+        self._refused_until_rebuilt(tmp_path, 5)
+
+
+def _to_format_5_docstore(d, man):
+    """The docstore of formats 3-5: chunks without the length column,
+    chunk id or ``sum_dl``, the lengths in ``doclens/`` files."""
+    from yetisearch_ray.index.docstore import _META_KEY
+
+    with DocStore.committed(d, man) as store:
+        tables = [store.chunk(i).read(store.schema.names)
+                  for i in range(len(store.chunks))]
+        metas = [json.loads(pa.ipc.open_file(store.chunk(i)._map)
+                            .schema.metadata[_META_KEY])
+                 for i in range(len(store.chunks))]
+    for c, t, meta in zip(man.docstore_chunks(), tables, metas):
+        del meta["sum_dl"], meta["chunk_id"], c["sum_dl"], c["chunk_id"]
+        path = os.path.join(d, "docs", c["name"])
+        with pa.OSFile(path, "wb") as f, pa.ipc.new_file(
+                f, t.schema.with_metadata({_META_KEY: json.dumps(meta)}),
+                options=pa.ipc.IpcWriteOptions(compression="zstd")) as w:
+            w.write_table(t, max_chunksize=docstore.DOC_ROWS)
+    os.makedirs(os.path.join(d, "doclens"))
+    with open(os.path.join(d, "doclens", "part=00000-g000.parquet"),
+              "wb") as f:
+        f.write(b"PAR1")
 
 
 def _rewrite(d, part):
@@ -368,22 +444,48 @@ def _verify(d):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_optimize_merges_only_committed_doc_lengths(tmp_path):
-    """A doc-length file left by an append killed before its commit is
-    not the index's: optimize must not count its rows."""
+def test_optimize_ignores_an_uncommitted_chunk(tmp_path):
+    """A chunk left by an append killed before its commit is not the
+    index's: optimize must not count its rows or lengths, nor may the
+    next append commit it."""
     from yetisearch_ray.index.manage import optimize_index
 
     d = str(tmp_path / "idx")
     _build(d, _corpus(range(40)))
     want = _results(_engine(d))
     stats = dict(Manifest.load(d).stats)
-    pq.write_table(pa.table({"doc_id": pa.array(range(40, 50), pa.uint64()),
-                             "dl": pa.array([7] * 10, pa.int64())}),
-                   os.path.join(d, "doclens", "part=00000-g001.parquet"))
+    left = docstore.write_chunk(d, pa.table({
+        "doc_id": pa.array(range(40, 50), pa.uint64()),
+        "body": ["zulu"] * 10}), "doc_id", [7] * 10)
     optimize_index(d)
-    assert Manifest.load(d).stats == stats
+    man = Manifest.load(d)
+    assert man.stats == stats
+    assert left["name"] not in {c["name"] for c in man.docstore_chunks()}
     assert open_index(d).n_rows == 40
     assert _results(_engine(d)) == want
+    _build(d, _corpus(range(100, 110)), append=True, tag="gen1")
+    assert Manifest.load(d).stats["n_docs"] == open_index(d).n_rows == 50
+    assert not os.path.exists(os.path.join(d, "docs", left["name"]))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_generation_reader_stats_equal_those_of_its_docs(tmp_path):
+    """N and avgdl of a ``max_generation`` reader are sums over its
+    generations' chunk entries: those of an index built from only
+    those generations' docs."""
+    d = str(tmp_path / "idx")
+    docs = _corpus(range(120))
+    docs.update(_corpus(range(120, 170), extra="zulu zulu alpha beta"))
+    docs.update(_corpus(range(170, 200), extra="sigma"))
+    _build(d, {i: docs[i] for i in range(120)})
+    _build(d, {i: docs[i] for i in range(120, 170)}, append=True, tag="g1")
+    _build(d, {i: docs[i] for i in range(170, 200)}, append=True, tag="g2")
+    for gen, hi in ((0, 120), (1, 170), (2, 200)):
+        ref = str(tmp_path / f"ref{gen}")
+        _build(ref, {i: docs[i] for i in range(hi)})
+        pinned, whole = open_index(d, max_generation=gen), open_index(ref)
+        assert (pinned.n_docs, pinned.avgdl) == (whole.n_docs, whole.avgdl)
+        assert pinned.n_docs == hi
 
 
 class TestManifestSave:

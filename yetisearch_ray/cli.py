@@ -321,30 +321,40 @@ def _verify_segment(seg, problems: list) -> int:
     return n
 
 
-def _verify_docstore(index_dir: str, man, doclens_ids, problems: list) -> int:
+def _verify_docstore(index_dir: str, man, problems: list) -> int:
     """Read every committed docstore chunk batch by batch (each checked
-    against its metadata range) and compare the union of their ids with
-    the doc-length ids; returns the rows read."""
-    import numpy as np
+    against its metadata range; opening it checks its chunk id against
+    its entry's) and its doc-length column: one value per row, summing
+    to the entry's ``sum_dl``; then the row and length sums against the
+    stats.  Returns the rows read."""
+    import pyarrow.compute as pc
 
-    from .index.docstore import DocStore
+    from .index.docstore import DL_COLUMN, DocStore
 
-    ids = []
+    rows = total_dl = 0
     with DocStore.committed(index_dir, man) as store:
-        for i in range(len(store.chunks)):
+        for i, c in enumerate(store.chunks):
             try:
-                ids.append(store.chunk_ids(i))
+                n = store.chunk_ids(i).size
+                dl = store.chunk(i).read([DL_COLUMN])[DL_COLUMN]
             except (OSError, ValueError) as e:
                 problems.append(str(e))
-    got = np.sort(np.concatenate(ids)) if ids else np.empty(0, np.uint64)
-    want = np.sort(doclens_ids.astype(np.uint64))
-    if not np.array_equal(got, want):
-        extra = np.setdiff1d(got, want)[:5].tolist()
-        lost = np.setdiff1d(want, got)[:5].tolist()
-        problems.append(
-            f"docstore ids ({got.size}) differ from doclens ids "
-            f"({want.size}): docstore only {extra}, doclens only {lost}")
-    return int(got.size)
+                continue
+            where = store.chunk(i).where
+            if dl.null_count:
+                problems.append(f"{where}: {dl.null_count} of {n} rows "
+                                f"without a doc length")
+            got = pc.sum(dl).as_py() or 0
+            if got != c.get("sum_dl"):
+                problems.append(f"{where}: doc lengths sum to {got}, its "
+                                f"manifest entry says {c.get('sum_dl')}")
+            rows += n
+            total_dl += got
+    for what, got in (("n_docs", rows), ("total_dl", total_dl)):
+        if got != man.stats.get(what):
+            problems.append(f"docstore {what} {got} != stats {what} "
+                            f"{man.stats.get(what)}")
+    return rows
 
 
 def _verify_id(what: str, part: int, gen: int, got: str, ids: dict,
@@ -358,18 +368,15 @@ def _verify_id(what: str, part: int, gen: int, got: str, ids: dict,
 
 
 def cmd_verify(args):
-    """Integrity check: manifest committed, every committed segment and
-    doc-length file present and readable with its manifest entry's
-    segment id, every run decodable with the df, cf and strictly
-    ascending doc ids its dictionary row claims, dictionaries sorted,
-    stats consistent with the doc lengths, every committed docstore
-    chunk readable with strictly ascending ids in its batch ranges, and
-    the docstore ids equal to the doc-length ids.  Exits 1 on any
-    problem."""
-    import numpy as np
-
+    """Integrity check: manifest committed, every committed segment
+    present and readable with its manifest entry's segment id, every
+    run decodable with the df, cf and strictly ascending doc ids its
+    dictionary row claims, dictionaries sorted, every committed docstore
+    chunk readable with its entry's chunk id, strictly ascending ids in
+    its batch ranges and one doc length per row, and the stats equal to
+    the chunks' sums.  Exits 1 on any problem."""
     from .index.manifest import Manifest
-    from .index.segment import Segment, read_doc_lengths
+    from .index.segment import Segment
 
     man = Manifest.load(args.index)
     problems = []
@@ -391,21 +398,7 @@ def cmd_verify(args):
                     n_terms += _verify_segment(seg, problems)
             except (OSError, ValueError) as e:
                 problems.append(str(e))
-    doc_ids = []
-    for part, gen in man.doclens_segments():
-        try:
-            dl = read_doc_lengths(args.index, part, gen)
-        except (OSError, ValueError) as e:
-            problems.append(str(e))
-            continue
-        _verify_id("doc lengths", part, gen, dl.seg_id, ids, problems)
-        doc_ids.append(dl.ids)
-    doc_ids = (np.concatenate(doc_ids) if doc_ids
-               else np.empty(0, np.uint64))
-    if doc_ids.size != man.stats.get("n_docs"):
-        problems.append(f"doclens rows {doc_ids.size} != stats n_docs "
-                        f"{man.stats.get('n_docs')}")
-    n_docs = _verify_docstore(args.index, man, doc_ids, problems)
+    n_docs = _verify_docstore(args.index, man, problems)
     print(json.dumps({"ok": not problems, "segments": n_segments,
                       "term_rows": n_terms, "docstore_rows": n_docs,
                       "problems": problems}))

@@ -157,7 +157,10 @@ class YetiSearchRay:
             man = Manifest.load(idx_dir)
             if man.data.get("status") == "committed":
                 append = True
-                next_id = man.stats.get("n_docs", 0) * 2 + 10_000_000
+                # SQLite's default rowid rule: one past the largest id
+                # the docstore holds, so no live id is handed out twice
+                next_id = max((c["hi"] + 1 for c in man.docstore_chunks()),
+                              default=0)
         t = self._docs_to_table(cfg, docs, next_id)
         ds = rd.from_arrow(t)
         build_index(ds, idx_dir, cfg, append=append, balance_hot_terms=False,

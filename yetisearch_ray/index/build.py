@@ -9,13 +9,15 @@ postings, a docstore, and corpus stats — is expressed as a streaming Ray
 Data pipeline:
 
     read (any Dataset with a uint64 ``doc_id``)
-      ├── docstore pass:  map_batches(sha256 + per-field token counts)
-      │                   → Arrow IPC chunk sorted by doc_id (docstore.py)
-      └── postings pass:  map_batches(tokenize → (part, term, field, doc_id,
-                          tf, positions)) — vectorized, zero-copy Arrow
-                          → groupby("part")                # THE shuffle
-                          → map_groups(build + write segment per partition)
-                          → metrics rows → manifest
+      → map_batches(tokenize → (part, term, field, doc_id, tf, positions)
+                    — vectorized, zero-copy Arrow; side-write the batch's
+                    docstore chunk with each doc's length, docstore.py)
+      → groupby("part")                                # THE shuffle
+      → map_groups(build + write segment per partition)
+      → metrics rows + the new chunks' entries → manifest
+
+The corpus stats (N, total_dl) are sums over the committed chunk
+entries (``Manifest.corpus_stats``): doc lengths never ride the shuffle.
 
 Scale design:
 - The shuffle key is ``part = siphash(term) % P`` — explicit hash
@@ -53,7 +55,7 @@ import pyarrow as pa
 from . import docstore
 from .manifest import Manifest
 from .postings import encode_postings, encode_postings_bulk
-from .segment import new_segment_id, write_doc_lengths, write_segment
+from .segment import new_segment_id, write_segment
 from ..analysis.tokenizer import tokenize_batch, tokenize_batch_dict
 
 # pandas' siphash with this fixed key is deterministic across processes —
@@ -262,6 +264,13 @@ class IndexConfig:
     positions: bool = True
     content_hash_column: str | None = None  # source col to sha256 into docstore
 
+    def __post_init__(self):
+        user = [self.id_column, self.language_column, *self.store_columns,
+                *(col for _, col in self.fields)]
+        if docstore.DL_COLUMN in user:
+            raise ValueError(f"column name {docstore.DL_COLUMN!r} is "
+                             f"reserved for the docstore's doc lengths")
+
     def as_dict(self) -> dict:
         return {
             "fields": [list(f) for f in self.fields],
@@ -297,12 +306,17 @@ def _docstore_table(cfg: IndexConfig, t: pa.Table) -> pa.Table:
     return pa.table(out)
 
 
-def _write_docstore_chunk(cfg: IndexConfig, index_dir: str, t: pa.Table) -> None:
-    """Deterministic, idempotent docstore chunk: named by its doc_id range
-    (each ingest batch covers a contiguous range), written tmp+rename —
-    re-execution (task retry / resume) simply overwrites the same file.
+def _write_docstore_chunk(cfg: IndexConfig, index_dir: str, t: pa.Table,
+                          dl: np.ndarray, committed: frozenset[str]) -> None:
+    """The batch's docstore chunk and its doc lengths ``dl``: named by
+    its doc_id range (each ingest batch covers a contiguous range),
+    written tmp+rename — re-execution (a task retry) overwrites the same
+    file, and a resume skips a chunk its manifest already ``committed``.
     The build's commit lists it in the manifest (``docstore.new_chunks``)."""
-    docstore.write_chunk(index_dir, _docstore_table(cfg, t), cfg.id_column)
+    ids = t[cfg.id_column].to_numpy(zero_copy_only=False)
+    if docstore.chunk_name(int(ids.min()), int(ids.max())) not in committed:
+        docstore.write_chunk(index_dir, _docstore_table(cfg, t),
+                             cfg.id_column, dl)
 
 
 # --------------------------------------------------------------------------
@@ -313,16 +327,17 @@ def _write_docstore_chunk(cfg: IndexConfig, index_dir: str, t: pa.Table) -> None
 def _emit_postings_batch(cfg: IndexConfig, skip_parts: frozenset[int],
                          index_dir: str | None = None,
                          hot_map: dict | None = None,
-                         split_map: dict | None = None):
+                         split_map: dict | None = None,
+                         committed_chunks: frozenset[str] = frozenset()):
     """The single INGEST pass: tokenize → per-partition IPC blobs.
 
     Per input batch (vectorized, zero-copy Arrow):
-    1. side-writes the batch's docstore chunk (idempotent range file),
-    2. tokenizes every field → (term, field, doc_id, tf, positions),
-    3. emits one DOC-LENGTH row per doc (``field = -1``, ``term = ""``,
-       ``tf = dl_total``, partitioned by doc_id hash) so corpus stats and
-       BM25 doc lengths come from the same single tokenization,
-    4. map-side-combines all rows into one Arrow-IPC blob per partition.
+    1. tokenizes every field → (term, field, doc_id, tf, positions),
+    2. side-writes the batch's docstore chunk (idempotent range file)
+       with each doc's length ``dl_total``, the sum of its per-field
+       token counts, so BM25 doc lengths and corpus stats come from the
+       same single tokenization,
+    3. map-side-combines all rows into one Arrow-IPC blob per partition.
 
     The corpus is read and tokenized exactly once per build.
     """
@@ -340,8 +355,6 @@ def _emit_postings_batch(cfg: IndexConfig, skip_parts: frozenset[int],
             [np.asarray(v, dtype=np.uint32) for v in split_map.values()])
 
     def fn(t: pa.Table) -> pa.Table:
-        if index_dir is not None and t.num_rows:
-            _write_docstore_chunk(cfg, index_dir, t)
         doc_ids = t[cfg.id_column].to_numpy(zero_copy_only=False).astype(np.uint64)
         dl_total = np.zeros(doc_ids.size, dtype=np.int64)
         parts_out = []
@@ -393,21 +406,11 @@ def _emit_postings_batch(cfg: IndexConfig, skip_parts: frozenset[int],
             else:
                 cols["pos"] = _empty_lists(starts.size)
             parts_out.append(pa.table(cols))
-        # doc-length rows: one per doc, hash-partitioned by doc_id
-        dl_part = (
-            pd.util.hash_array(doc_ids.astype(np.uint64), hash_key=_HASH_KEY)
-            % nparts
-        ).astype(np.uint32)
-        parts_out.append(pa.table({
-            "part": pa.array(dl_part, pa.uint32()),
-            "term": pa.array([""] * doc_ids.size, pa.string()),
-            "field": pa.array(np.full(doc_ids.size, -1, np.int8), pa.int8()),
-            "doc_id": pa.array(doc_ids, pa.uint64()),
-            "tf": pa.array(dl_total.astype(np.uint32), pa.uint32()),
-            # empty (not null) lists keep the offsets buffer well-defined
-            # for the segment builder's vectorized position gather
-            "pos": _empty_lists(doc_ids.size),
-        }))
+        if index_dir is not None and t.num_rows:
+            _write_docstore_chunk(cfg, index_dir, t, dl_total,
+                                  committed_chunks)
+        if not parts_out:
+            return _NO_BLOBS
         out_t = pa.concat_tables(parts_out, promote_options="default")
         if skip_parts:
             import pyarrow.compute as pc
@@ -423,8 +426,7 @@ def _emit_postings_batch(cfg: IndexConfig, skip_parts: frozenset[int],
         out_t = out_t.sort_by("part")
         pcol = out_t["part"].to_numpy(zero_copy_only=False)
         if pcol.size == 0:
-            return pa.table({"part": pa.array([], pa.uint32()),
-                             "blob": pa.array([], pa.large_binary())})
+            return _NO_BLOBS
         bstarts = np.flatnonzero(np.r_[True, pcol[1:] != pcol[:-1]])
         bends = np.append(bstarts[1:], pcol.size)
         payload = out_t.drop_columns(["part"])
@@ -442,10 +444,12 @@ def _emit_postings_batch(cfg: IndexConfig, skip_parts: frozenset[int],
     return fn
 
 
+_NO_BLOBS = pa.table({"part": pa.array([], pa.uint32()),
+                      "blob": pa.array([], pa.large_binary())})
+
 _SEGMENT_METRICS = pa.schema([
     ("part", pa.uint32()), ("rows", pa.int64()), ("terms", pa.int64()),
-    ("bytes", pa.int64()), ("n_docs", pa.int64()), ("sum_dl", pa.int64()),
-    ("seg_id", pa.string())])
+    ("bytes", pa.int64()), ("seg_id", pa.string())])
 
 
 def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
@@ -467,6 +471,7 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
         t = pa.concat_tables(
             pa.ipc.open_stream(b.as_py()).read_all() for b in group["blob"]
         )
+        group_rows = t.num_rows
         # --- numpy-centric path: no pyarrow sort_by / filter / to_pandas on
         # the big table (those cost microseconds per row on list columns) ---
         fields = t["field"].to_numpy(zero_copy_only=False)
@@ -481,36 +486,15 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
         list_offsets = pos_col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         pos_lens = np.diff(list_offsets)
 
-        # --- doc-length rows (field == -1) → doc-length file ---
-        # (both files of this partition carry one segment id, which the
-        # manifest entry records)
-        seg_id = new_segment_id()
-        dl_mask = fields == -1
-        n_docs = int(dl_mask.sum())
-        sum_dl = int(tfs[dl_mask].sum())
-        if n_docs:
-            write_doc_lengths(index_dir, part, gen, doc_ids[dl_mask],
-                              tfs[dl_mask].astype(np.int64), seg_id)
-
-        keep = ~dl_mask
-        if not keep.any():
-            return pa.Table.from_pylist([{
-                "part": part, "rows": 0, "terms": 0, "bytes": 0,
-                "n_docs": n_docs, "sum_dl": sum_dl, "seg_id": seg_id}],
-                schema=_SEGMENT_METRICS)
-        kidx = np.flatnonzero(keep)
         # rank terms lexicographically so the segment is term-sorted
         # (its dictionary is binary-searched on point lookups)
         dict_order = np.argsort(dict_strings, kind="stable")
         rank = np.empty(dict_order.size, dtype=np.int64)
         rank[dict_order] = np.arange(dict_order.size)
-        k_rank = rank[tcodes[kidx]]
-        k_fields = fields[kidx]
-        k_docs = doc_ids[kidx]
-        order = np.lexsort((k_docs, k_fields, k_rank))
-        sidx = kidx[order]                       # original row order, sorted
-        s_rank, s_fields = k_rank[order], k_fields[order]
-        s_docs, s_tfs = k_docs[order], tfs[sidx]
+        t_rank = rank[tcodes]
+        sidx = np.lexsort((doc_ids, fields, t_rank))  # row order, sorted
+        s_rank, s_fields = t_rank[sidx], fields[sidx]
+        s_docs, s_tfs = doc_ids[sidx], tfs[sidx]
         have_pos = want_pos and flat_pos.size > 0
         if have_pos:
             # gather positions into sorted-row order, fully vectorized
@@ -560,13 +544,13 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
             out_cf[ri] = int(fsum.sum())
             out_docs[ri], out_tfs[ri], out_pos[ri] = db, tb, pb
 
+        seg_id = new_segment_id()
         nbytes = write_segment(index_dir, part, gen, out_terms, out_fields,
                                out_df, out_cf, out_docs, out_tfs, out_pos,
                                seg_id)
         return pa.Table.from_pylist([{
-            "part": part, "rows": int(keep.sum()), "terms": len(out_terms),
-            "bytes": nbytes, "n_docs": n_docs, "sum_dl": sum_dl,
-            "seg_id": seg_id}], schema=_SEGMENT_METRICS)
+            "part": part, "rows": group_rows, "terms": len(out_terms),
+            "bytes": nbytes, "seg_id": seg_id}], schema=_SEGMENT_METRICS)
 
     return fn
 
@@ -604,21 +588,23 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
 
         shutil.rmtree(index_dir)
     skip: frozenset[int] = frozenset()
+    committed_chunks: frozenset[str] = frozenset()
     gen = 0
     if (resume or append) and Manifest.exists(index_dir):
         man = Manifest.load(index_dir)
         man.require_current_format()
         if man.data.get("config") != cfg.as_dict():
             raise ValueError("resume/append with different config; use a fresh index_dir")
-        gens = [int(k.split(":")[0]) for k in man.data.get("partitions", {})]
+        gens = man.generations()
         if append:
             gen = (max(gens) + 1) if gens else 0
         else:
             gen = max(gens) if gens else 0
             skip = frozenset(
-                int(k.split(":")[1]) for k, v in man.data["partitions"].items()
-                if int(k.split(":")[0]) == gen and v.get("status") == "committed"
-            )
+                part for part, g, v in man.partition_entries()
+                if g == gen and v.get("status") == "committed")
+            committed_chunks = frozenset(
+                c["name"] for c in man.docstore_chunks())
         hot_map = man.data.get("hot_terms") or None
         split_map = man.data.get("split_terms") or None
     else:
@@ -633,16 +619,21 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
         man.data["split_terms"] = split_map or {}
         man.data.setdefault("metrics", {})["sketch_sec"] = round(sketch_sec, 3)
         man.save()
+    if not resume:
+        # chunks no manifest commits are the leftovers of a write killed
+        # before its commit; this build's commit must not list them
+        docstore.remove_chunks(index_dir, docstore.uncommitted_chunks(
+            index_dir, man.docstore_chunks()))
 
-    # ---- single ingest pass: docstore side-writes + term-partitioned
-    # shuffle.  Doc-length rows ride the same shuffle, so corpus stats
-    # (N, total_dl, avgdl) fall out of the per-partition metrics — the
-    # corpus is read and tokenized exactly once, in one execution.
+    # ---- single ingest pass: docstore side-writes (doc lengths included)
+    # + term-partitioned shuffle — the corpus is read and tokenized
+    # exactly once, in one execution.
     # batch_size=None → whole blocks as batches: block boundaries come from
     # the deterministic source (one block per parquet row group), so the
     # docstore chunk ranges are stable across runs and resumes
     emitted = ds.map_batches(
-        _emit_postings_batch(cfg, skip, index_dir, hot_map, split_map),
+        _emit_postings_batch(cfg, skip, index_dir, hot_map, split_map,
+                             committed_chunks),
         batch_format="pyarrow", batch_size=None)
     t_ex = time.perf_counter()
     metrics = (
@@ -659,9 +650,8 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
 
     with unreserved_execution(metrics):
         for m in metrics.iter_rows():
-            man.record_partition(f"{gen}:{int(m['part'])}", {
+            man.record_partition(int(m["part"]), gen, {
                 "rows": int(m["rows"]), "terms": int(m["terms"]), "bytes": int(m["bytes"]),
-                "n_docs": int(m["n_docs"]), "sum_dl": int(m["sum_dl"]),
                 "seg_id": m["seg_id"], "input_fingerprint": input_fingerprint,
             })
     # phase wall-times ride the manifest (north-rule metrics; `iter_rows`
@@ -674,18 +664,11 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
             stats_out["ds_stats"] = metrics.stats()
         except Exception as e:  # stats are evidence, never a failure
             stats_out["ds_stats"] = f"unavailable: {e}"
-    # stats over ALL partitions (including ones committed in a prior run)
-    n_docs = sum(p.get("n_docs", 0) for p in man.data["partitions"].values())
-    total_dl = sum(p.get("sum_dl", 0) for p in man.data["partitions"].values())
-    stats = {
-        "n_docs": n_docs,
-        "total_dl": total_dl,
-        "avgdl": (total_dl / n_docs) if n_docs else 0.0,
-    }
-    # the docstore chunks this build wrote join the committed ones
+    # the docstore chunks this build wrote join the committed ones; the
+    # stats are their sums
     chunks = man.docstore_chunks()
     chunks += [{**c, "gen": gen}
                for c in docstore.new_chunks(index_dir, chunks)]
-    man.finalize(stats, sorted(chunks, key=lambda c: c["lo"]))
+    man.finalize(sorted(chunks, key=lambda c: c["lo"]))
     man.save()
     return man

@@ -7,24 +7,45 @@ A chunk ``docs/docs-LLLLLLLLLLLL-HHHHHHHHHHHH.arrow`` holds the stored
 rows of one ingest batch, ids ``L..H``.  It is an Arrow IPC file
 (Feather v2): rows sorted by id, written as record batches of
 ``DOC_ROWS`` rows, each buffer zstd-compressed.  The schema metadata
-(``_META_KEY``, JSON) records the chunk's row count, the batch size and
-each batch's first and last id.  A chunk is written tmp + rename and
-named by its id range, so re-writing one ingest batch is idempotent.
+(``_META_KEY``, JSON) records the chunk's row count, the batch size,
+each batch's first and last id, the sum of its doc lengths and a random
+chunk id.  A chunk is written tmp + rename and named by its id range.
+
+**Doc lengths.**  This module is the only owner of a document's length
+(``dl``, uint32: the sum of its per-field token counts, BM25's ``D``).
+It is a column of the doc's chunk under the reserved name
+``DL_COLUMN``, which ``schema``, ``gather`` and ``scan``'s default
+projection leave out, so stored rows read back as they were written.
+The corpus stats are sums over the chunk entries (rows and ``sum_dl``,
+``Manifest.corpus_stats``).  This is FTS5's ``%_docsize``: each row's
+token counts kept next to the row, keyed by rowid.
 
 The manifest commits the chunk list (name, rows, id range, bytes,
-generation; ``Manifest.docstore_chunks``), so a reader opens only the
-chunks of its own snapshot.  A gather of ``k`` ids is a search of the
-chunk ranges, then of the hit chunk's batch ranges, and one
-``get_batch`` per hit batch: it decodes at most ``k`` batches of
-``DOC_ROWS`` rows.  A column load reads only that column's buffers
-(``included_fields``).  This is the dictionary-plus-offsets-into-
-compressed-units layout ``segment.py`` gives postings.
+``sum_dl``, chunk id, generation; ``Manifest.docstore_chunks``), so a
+reader opens only the chunks of its own snapshot.  A gather of ``k``
+ids is a search of the chunk ranges, then of the hit chunk's batch
+ranges, and one ``get_batch`` per hit batch: it decodes at most ``k``
+batches of ``DOC_ROWS`` rows.  A column load reads only that column's
+buffers (``included_fields``).  This is the dictionary-plus-offsets-
+into-compressed-units layout ``segment.py`` gives postings.
+
+**Sharing.**  A reader's resident columns (``[id, dl]`` for every
+query, ``[id, col]`` for a filter column) come chunk by chunk from a
+weak registry keyed by ``(realpath(index_dir), chunk name, chunk id,
+column)`` (``ChunkColumn``), so the readers of one process load each
+committed chunk's column once, as ``segment.py`` shares dictionaries.
+A ``DocStore`` takes strong references to the live entries of its
+chunks when it is built: a reader opened after a write loads only the
+new chunks.
 
 Damage fails loudly and never reads as absent rows: a committed chunk
 that is missing raises ``FileNotFoundError``; a chunk that does not
-parse, whose metadata is missing or disagrees with the manifest, or
-whose batch holds other ids than its metadata says raises
-``CorruptSegmentError`` naming the chunk and its id range.
+parse, whose metadata is missing or disagrees with the manifest (its
+chunk id too: a chunk rewritten under its own name), or whose batch
+holds other ids than its metadata says raises ``CorruptSegmentError``
+naming the chunk and its id range.  An entry without a chunk id (a
+format-5 chunk, which only ``manage.rebuild_index`` reads) is opened
+unchecked.
 """
 
 from __future__ import annotations
@@ -32,6 +53,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import weakref
 from typing import Iterable
 
 import numpy as np
@@ -39,16 +61,24 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .manifest import Manifest
-from .segment import CorruptSegmentError
+from .segment import (_LOCK, CorruptSegmentError, _root, _shared,
+                      new_segment_id)
 
 # rows per record batch.  Halving it speeds a gather less than it slows
 # a column load (4-CPU host, 50k-doc docstore: a batch decodes in 0.23 ms
 # at 64 rows vs 0.30 at 128, a [doc_id, lang] load takes 40 vs 26 ms)
 DOC_ROWS = 128
 
+# the doc-length column of every chunk; no user column may take its name
+DL_COLUMN = "_yetisearch_dl"
+
 _META_KEY = b"yetisearch.docstore"
 _WRITE = pa.ipc.IpcWriteOptions(compression="zstd")
 _ARROW_ERRORS = (pa.ArrowException, OSError, ValueError, KeyError, TypeError)
+
+# the shared ChunkColumns, by (realpath, chunk name, chunk id, column);
+# process-wide on purpose, as segment._DICTIONARIES
+_COLUMNS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def chunk_name(lo: int, hi: int) -> str:
@@ -59,22 +89,30 @@ def docs_dir(index_dir: str) -> str:
     return os.path.join(index_dir, "docs")
 
 
-def _entry(name: str, rows: int, lo: int, hi: int, nbytes: int) -> dict:
-    return {"name": name, "rows": rows, "lo": lo, "hi": hi, "bytes": nbytes}
+def _entry(name: str, rows: int, lo: int, hi: int, nbytes: int,
+           sum_dl: int, chunk_id: str) -> dict:
+    return {"name": name, "rows": rows, "lo": lo, "hi": hi, "bytes": nbytes,
+            "sum_dl": sum_dl, "chunk_id": chunk_id}
 
 
-def write_chunk(index_dir: str, table: pa.Table, id_column: str) -> dict:
-    """Write ``table`` (unique ids) as one chunk named by its id range;
-    returns its manifest entry (without the generation)."""
+def write_chunk(index_dir: str, table: pa.Table, id_column: str,
+                dl) -> dict:
+    """Write ``table`` (unique ids) and its rows' doc lengths ``dl`` as
+    one chunk named by its id range, under a fresh chunk id; returns its
+    manifest entry (without the generation)."""
     d = docs_dir(index_dir)
     os.makedirs(d, exist_ok=True)
-    t = table.sort_by(id_column).combine_chunks()
+    dl = np.asarray(dl, np.uint32)
+    t = (table.append_column(DL_COLUMN, pa.array(dl, pa.uint32()))
+         .sort_by(id_column).combine_chunks())
     ids = t[id_column].to_numpy(zero_copy_only=False).astype(np.uint64)
     batches = t.to_batches(max_chunksize=DOC_ROWS)
     starts = np.arange(0, ids.size, DOC_ROWS)
+    sum_dl, chunk_id = int(dl.sum(dtype=np.uint64)), new_segment_id()
     meta = {"rows": int(ids.size), "batch_rows": DOC_ROWS,
             "lo": ids[starts].tolist(),
-            "hi": ids[np.minimum(starts + DOC_ROWS, ids.size) - 1].tolist()}
+            "hi": ids[np.minimum(starts + DOC_ROWS, ids.size) - 1].tolist(),
+            "sum_dl": sum_dl, "chunk_id": chunk_id}
     lo, hi = int(ids[0]), int(ids[-1])
     name = chunk_name(lo, hi)
     schema = t.schema.with_metadata({_META_KEY: json.dumps(meta)})
@@ -89,23 +127,31 @@ def write_chunk(index_dir: str, table: pa.Table, id_column: str) -> dict:
         os.unlink(tmp)
         raise
     return _entry(name, int(ids.size), lo, hi,
-                  os.path.getsize(os.path.join(d, name)))
+                  os.path.getsize(os.path.join(d, name)), sum_dl, chunk_id)
+
+
+def uncommitted_chunks(index_dir: str, committed: Iterable[dict]
+                       ) -> list[str]:
+    """Names of the chunk files in ``docs/`` that ``committed`` does not
+    list, sorted by id."""
+    d = docs_dir(index_dir)
+    known = {c["name"] for c in committed}
+    return sorted(n for n in (os.listdir(d) if os.path.isdir(d) else ())
+                  if n.startswith("docs-") and n.endswith(".arrow")
+                  and n not in known)
 
 
 def new_chunks(index_dir: str, committed: Iterable[dict]) -> list[dict]:
     """Entries of the chunks in ``docs/`` that ``committed`` does not
     list, sorted by id: what a build wrote, for its commit."""
     d = docs_dir(index_dir)
-    known = {c["name"] for c in committed}
-    names = sorted(n for n in (os.listdir(d) if os.path.isdir(d) else ())
-                   if n.startswith("docs-") and n.endswith(".arrow")
-                   and n not in known)
     out = []
-    for name in names:
+    for name in uncommitted_chunks(index_dir, committed):
         lo, hi = (int(x) for x in name[5:-6].split("-"))
         with _Chunk(d, {"name": name, "lo": lo, "hi": hi}) as ch:
             out.append(_entry(name, ch.rows, lo, hi,
-                              os.path.getsize(ch.path)))
+                              os.path.getsize(ch.path), ch.sum_dl,
+                              ch.chunk_id))
     return out
 
 
@@ -140,6 +186,7 @@ class _Chunk:
             self.rows, self.batch_rows = int(meta["rows"]), int(meta["batch_rows"])
             self.batch_lo = np.asarray(meta["lo"], np.uint64)
             self.batch_hi = np.asarray(meta["hi"], np.uint64)
+            self.sum_dl, self.chunk_id = meta.get("sum_dl"), meta.get("chunk_id")
         except _ARROW_ERRORS as e:
             self._map.close()
             raise CorruptSegmentError(f"damaged {self.where}: {e!r}") from e
@@ -158,6 +205,10 @@ class _Chunk:
                     f"for {lo.size}")
         if entry.get("rows", self.rows) != self.rows:
             return f"{self.rows} rows, the manifest commits {entry['rows']}"
+        want = entry.get("chunk_id")
+        if want is not None and self.chunk_id != want:
+            return (f"chunk id {self.chunk_id or 'none'}, the manifest "
+                    f"commits {want}: rewritten outside a commit")
         if n and (int(lo[0]) != self.lo or int(hi[-1]) != self.hi
                   or (lo > hi).any() or (lo[1:] <= hi[:-1]).any()):
             return "batch ranges do not tile the chunk's id range"
@@ -194,6 +245,9 @@ class _Chunk:
     def read(self, columns: list[str]) -> pa.Table:
         """Only ``columns``' buffers of every batch."""
         idx = [self.schema.get_field_index(c) for c in columns]
+        if -1 in idx:
+            raise CorruptSegmentError(
+                f"damaged {self.where}: no column {columns[idx.index(-1)]!r}")
         try:
             r = pa.ipc.open_file(self._map,
                                  options=_read_options(included_fields=idx))
@@ -205,6 +259,29 @@ class _Chunk:
                 f"damaged {self.where}: read {t.num_rows} of {self.rows} rows")
         return t.replace_schema_metadata(None)
 
+    def check_ids(self, ids: np.ndarray) -> None:
+        """Raise unless ``ids`` ascend strictly from ``lo`` to ``hi``."""
+        if (int(ids[0]) != self.lo or int(ids[-1]) != self.hi
+                or (np.diff(ids.astype(np.int64)) <= 0).any()):
+            raise CorruptSegmentError(
+                f"damaged {self.where}: its ids do not ascend strictly "
+                f"from {self.lo} to {self.hi}")
+
+
+class ChunkColumn:
+    """``[id, col]`` of one chunk: ``ids`` (ascending, checked) and
+    ``values``, read-only, and the column's Arrow ``type``; shared (see
+    the module docstring)."""
+
+    def __init__(self, ch: _Chunk, id_column: str, col: str):
+        t = ch.read(list(dict.fromkeys((id_column, col))))
+        self.ids = (t[id_column].to_numpy(zero_copy_only=False)
+                    .astype(np.uint64, copy=False))
+        ch.check_ids(self.ids)
+        self.values = t[col].to_numpy(zero_copy_only=False)
+        self.type = t.schema.field(col).type
+        self.ids.flags.writeable = self.values.flags.writeable = False
+
 
 def _read_options(**kw) -> pa.ipc.IpcReadOptions:
     # one thread: the buffers decoded are small, a pool only adds
@@ -215,7 +292,9 @@ def _read_options(**kw) -> pa.ipc.IpcReadOptions:
 
 class DocStore:
     """The chunks one manifest snapshot commits, each opened (memory
-    mapped) on first touch and kept open until ``close``."""
+    mapped) on first touch and kept open until ``close``; the shared
+    columns of these chunks that some reader of the process held when
+    it was built stay held (see the module docstring)."""
 
     def __init__(self, index_dir: str, chunks: list[dict], id_column: str):
         self.index_dir = index_dir
@@ -224,6 +303,16 @@ class DocStore:
         self._lo = np.array([c["lo"] for c in self.chunks], np.uint64)
         self._hi = np.array([c["hi"] for c in self.chunks], np.uint64)
         self._open: dict[int, _Chunk] = {}
+        self._root = _root(index_dir)
+        self._columns: dict[tuple[int, str], ChunkColumn] = {}
+        at = {(c["name"], c["chunk_id"]): i
+              for i, c in enumerate(self.chunks) if c.get("chunk_id")}
+        with _LOCK:
+            live = list(_COLUMNS.items())
+        for (root, name, cid, col), v in live:
+            i = at.get((name, cid))
+            if i is not None and root == self._root:
+                self._columns[i, col] = v
 
     @classmethod
     def committed(cls, index_dir: str, manifest: Manifest | None = None,
@@ -242,7 +331,8 @@ class DocStore:
         return ch
 
     def close(self) -> None:
-        """Unmap every open chunk; later reads reopen what they need."""
+        """Unmap every open chunk; later reads reopen what they need.
+        The shared columns stay held."""
         for ch in self._open.values():
             ch.close()
         self._open.clear()
@@ -255,23 +345,28 @@ class DocStore:
 
     @property
     def schema(self) -> pa.Schema:
-        """Columns and types of the first chunk (empty without chunks)."""
-        return self.chunk(0).schema if self.chunks else pa.schema([])
+        """Stored columns and types of the first chunk, ``DL_COLUMN``
+        left out (empty without chunks)."""
+        s = self.chunk(0).schema if self.chunks else pa.schema([])
+        i = s.get_field_index(DL_COLUMN)
+        return s if i < 0 else s.remove(i)
 
     def _plan(self, columns) -> tuple[list[str], list[str], pa.Schema]:
         """Output columns, columns to read (the id added) and their
-        schema."""
+        schema, typed by the first chunk."""
         cols = self.schema.names if columns is None else list(columns)
         read = cols if self.id_column in cols else cols + [self.id_column]
         if not self.chunks:  # an empty index: nothing to type them by
             return cols, read, pa.schema([(c, pa.null()) for c in read])
-        return cols, read, pa.schema([self.schema.field(c) for c in read])
+        first = self.chunk(0).schema
+        return cols, read, pa.schema([first.field(c) for c in read])
 
     def gather(self, ids, columns=None) -> pa.Table:
         """Stored rows whose id is in ``ids``, in docstore order:
         absent ids are omitted, a repeated id adds no rows, and the
         projection is applied last (a table without columns still counts
-        its rows).  Decodes only the batches whose range holds an id."""
+        its rows; none carries the chunks' metadata).  Decodes only the
+        batches whose range holds an id."""
         want = np.unique(np.asarray(ids, dtype=np.uint64))
         cols, read, read_schema = self._plan(columns)
         pieces = []
@@ -295,7 +390,7 @@ class DocStore:
                                   else t.cast(read_schema))
         out = (pa.concat_tables(pieces) if pieces
                else read_schema.empty_table())
-        return out.select(cols)
+        return out.replace_schema_metadata(None).select(cols)
 
     def scan(self, columns=None) -> pa.Table:
         """Every stored row in docstore order (chunk by chunk, each in
@@ -305,12 +400,7 @@ class DocStore:
         for i in range(len(self.chunks)):
             ch = self.chunk(i)
             t = ch.read(read).select(read)
-            ids = t[self.id_column].to_numpy(zero_copy_only=False)
-            if (int(ids[0]) != ch.lo or int(ids[-1]) != ch.hi
-                    or (np.diff(ids.astype(np.int64)) <= 0).any()):
-                raise CorruptSegmentError(
-                    f"damaged {ch.where}: its ids do not ascend strictly "
-                    f"from {ch.lo} to {ch.hi}")
+            ch.check_ids(t[self.id_column].to_numpy(zero_copy_only=False))
             pieces.append(t if t.schema.equals(read_schema)
                           else t.cast(read_schema))
         return pa.concat_tables(pieces).select(cols)
@@ -318,6 +408,34 @@ class DocStore:
     def column(self, col: str) -> pa.Table:
         """``[id, col]`` of every row, in docstore order."""
         return self.scan([self.id_column, col])
+
+    def _chunk_column(self, i: int, col: str) -> ChunkColumn:
+        got = self._columns.get((i, col))
+        if got is None:
+            c = self.chunks[i]
+
+            def load():
+                return ChunkColumn(self.chunk(i), self.id_column, col)
+
+            got = self._columns[i, col] = (
+                _shared(_COLUMNS, (self._root, c["name"], c["chunk_id"], col),
+                        load) if c.get("chunk_id") else load())
+        return got
+
+    def column_arrays(self, col: str) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, values) of ``col`` (``DL_COLUMN`` too) for every row in
+        docstore order, concatenated from the shared per-chunk columns.
+        Raises ``KeyError`` for a column the store does not have."""
+        if not self.chunks:
+            return (np.empty(0, np.uint64),
+                    np.empty(0, np.uint32 if col == DL_COLUMN else object))
+        typ = self.chunk(0).schema.field(col).type
+        parts = [self._chunk_column(i, col) for i in range(len(self.chunks))]
+        ids = np.concatenate([p.ids for p in parts])
+        if all(p.type == typ for p in parts):
+            return ids, np.concatenate([p.values for p in parts])
+        # appends that typed the column otherwise: cast as a scan does
+        return ids, self.scan([col])[col].to_numpy(zero_copy_only=False)
 
     def chunk_ids(self, i: int) -> np.ndarray:
         """Ids of chunk ``i``, read batch by batch through the checks
@@ -330,9 +448,10 @@ class DocStore:
 
     def drop_ids(self, dead: np.ndarray) -> tuple[list[dict], list[str]]:
         """Rewrite the chunks holding one of the sorted ``dead`` ids
-        without them.  Returns the new chunk list (an emptied chunk
-        leaves it) and the names of the files that list no longer
-        holds, to remove once it is committed."""
+        without them, each under a fresh chunk id.  Returns the new
+        chunk list (an emptied chunk leaves it) and the names of the
+        files that list no longer holds, to remove once it is
+        committed."""
         dead_set = pa.array(dead, pa.uint64())
         out, stale = [], []
         for i, c in enumerate(self.chunks):
@@ -350,7 +469,8 @@ class DocStore:
             if not t.num_rows:
                 stale.append(c["name"])
                 continue
-            e = write_chunk(self.index_dir, t, self.id_column)
+            e = write_chunk(self.index_dir, t.drop_columns([DL_COLUMN]),
+                            self.id_column, t[DL_COLUMN].to_numpy())
             out.append({**c, **e})
             if e["name"] != c["name"]:  # else replaced in place
                 stale.append(c["name"])

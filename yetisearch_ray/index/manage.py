@@ -12,9 +12,10 @@ Maps the reference's SQLite mutations onto the immutable-segment world:
 - ``optimize_index`` (``SqliteStorage::optimize`` :1383-1395, the FTS
   'optimize' + VACUUM analogue) → per-partition segment compaction: a
   Ray job that rewrites every posting segment with tombstoned docs
-  removed, rewrites doclens/docstore, refreshes stats, clears the
-  tombstone list.  Per-partition tasks, idempotent atomic writes — the
-  same resumability story as the build.
+  removed, rewrites the docstore chunks that held them (their doc
+  lengths with them), refreshes stats, clears the tombstone list.
+  Per-partition tasks, idempotent atomic writes — the same resumability
+  story as the build.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from . import docstore
 from .docstore import DocStore
 from .manifest import Manifest
 from .postings import decode_postings, encode_postings
-from .segment import (Segment, doc_lengths_path, new_segment_id,
-                      read_doc_lengths, segment_paths, write_doc_lengths,
-                      write_segment)
+from .segment import Segment, new_segment_id, segment_paths, write_segment
 
 
 # ---------------------------------------------------------------- create
@@ -47,8 +46,8 @@ def create_empty_index(index_dir: str, cfg) -> "Manifest":
     schema).  Searches return 0 rows; later builds append into it
     (``build_index(..., append=True)`` / facade ``index_batch``).
 
-    Writes only the manifest (no partition is committed, so a reader
-    loads no segment or doc-length file)."""
+    Writes only the manifest (no partition or chunk is committed, so a
+    reader loads no segment or docstore chunk)."""
     if Manifest.exists(index_dir):
         raise FileExistsError(f"index already exists at {index_dir}")
     os.makedirs(os.path.join(index_dir, "docs"), exist_ok=True)
@@ -100,7 +99,7 @@ def tombstones(index_dir: str) -> set[int]:
 def clear_index(index_dir: str) -> None:
     """Remove all data but keep the index dir + manifest shell."""
     man = Manifest.load(index_dir)
-    for sub in ("postings", "docs", "doclens"):
+    for sub in ("postings", "docs"):
         shutil.rmtree(os.path.join(index_dir, sub), ignore_errors=True)
     man.data["partitions"] = {}
     man.data["docstore"] = {"chunks": []}
@@ -140,15 +139,12 @@ def index_stats(index_dir: str, by: str | None = None):
 
 
 def _merge_partition(index_dir: str, part: int, gens: list[int],
-                     dl_gens: list[int], seg_ids: dict, dead: np.ndarray
-                     ) -> dict:
+                     seg_ids: dict, dead: np.ndarray) -> dict:
     """K-way merge of one partition's committed generations into a
-    single generation-0 segment and doc-length file under a fresh
-    segment id: group runs by (term, field), merge postings
-    positions-preserving, drop tombstoned docs (and their doc lengths;
-    a later generation's length of a re-added doc wins), write
-    atomically, then remove the merged-away generations.  Returns the
-    new entry's terms, n_docs, sum_dl and seg_id."""
+    single generation-0 segment under a fresh segment id: group runs by
+    (term, field), merge postings positions-preserving, drop tombstoned
+    docs, write atomically, then remove the merged-away generations.
+    Returns the new entry's terms and seg_id."""
     from .postings import merge_postings
 
     seg_id = new_segment_id()
@@ -177,75 +173,48 @@ def _merge_partition(index_dir: str, part: int, gens: list[int],
         out["docs"].append(db)
         out["tfs"].append(tb)
         out["pos"].append(pb)
-    if gens:
-        write_segment(index_dir, part, 0, out["term"], out["field"],
-                      out["df"], out["cf"], out["docs"], out["tfs"],
-                      out["pos"], seg_id)
-    n_docs = sum_dl = 0
-    if dl_gens:
-        lens = [read_doc_lengths(index_dir, part, g, seg_ids[part, g])
-                for g in dl_gens]
-        ids = np.concatenate([x.ids for x in lens])
-        dl = np.concatenate([x.dl for x in lens])
-        # the last row of each id: np.unique keeps the first of the reverse
-        ids, last = np.unique(ids[::-1], return_index=True)
-        dl = dl[::-1][last]
-        alive = ~np.isin(ids, dead)
-        ids, dl = ids[alive], dl[alive]
-        write_doc_lengths(index_dir, part, 0, ids, dl, seg_id)
-        n_docs, sum_dl = int(ids.size), int(dl.sum())
-    for gen in sorted(set(gens) | set(dl_gens)):
+    write_segment(index_dir, part, 0, out["term"], out["field"], out["df"],
+                  out["cf"], out["docs"], out["tfs"], out["pos"], seg_id)
+    for gen in gens:
         if gen != 0:
-            for f in (*segment_paths(index_dir, part, gen),  # dictionary first
-                      doc_lengths_path(index_dir, part, gen)):
-                if os.path.exists(f):
-                    os.remove(f)
-    return {"status": "committed", "terms": len(out["term"]), "merged": True,
-            "n_docs": n_docs, "sum_dl": sum_dl, "seg_id": seg_id}
+            for f in segment_paths(index_dir, part, gen):  # dictionary first
+                os.remove(f)
+    return {"terms": len(out["term"]), "merged": True, "seg_id": seg_id}
 
 
 def optimize_index(index_dir: str) -> dict:
     """Segment compaction (the reference's optimize() analogue): merge
-    each partition's committed segment generations and doc-length files
-    into one, physically apply tombstones, refresh stats from the merged
-    doc lengths.  Files the manifest does not commit (the leftovers of
-    a write killed before its commit) are never read.  One Ray task per
-    partition — idempotent atomic writes, same resumability story as
-    the build."""
+    each partition's committed segment generations into one, physically
+    apply tombstones (to the segments and to the docstore chunks, doc
+    lengths included), refresh stats from the chunks left.  Files the
+    manifest does not commit (the leftovers of a write killed before its
+    commit) are never read.  One Ray task per partition — idempotent
+    atomic writes, same resumability story as the build."""
     import ray
 
     man = Manifest.load(index_dir)
     man.require_current_format()
     dead = np.array(sorted(man.data.get("tombstones", [])), dtype=np.uint64)
     by_part = {p: sorted(gs) for p, gs in man.segment_generations().items()}
-    dl_by_part: dict[int, list[int]] = {}
-    for p, g in man.doclens_segments():
-        dl_by_part.setdefault(p, []).append(g)
     seg_ids = man.segment_ids()
 
     @ray.remote
     def compact(part: int, dead_arr: np.ndarray):
-        return _merge_partition(index_dir, part, by_part.get(part, []),
-                                dl_by_part.get(part, []), seg_ids, dead_arr)
+        return _merge_partition(index_dir, part, by_part[part], seg_ids,
+                                dead_arr)
 
     dead_ref = ray.put(dead)
-    parts = sorted(set(by_part) | set(dl_by_part))
+    parts = sorted(by_part)
     entries = ray.get([compact.remote(p, dead_ref) for p in parts])
     chunks, stale = man.docstore_chunks(), []
     if dead.size:
         with DocStore.committed(index_dir, man) as store:
             chunks, stale = store.drop_ids(dead)
-    # stats from the merged doc lengths; each partition keeps its
-    # n_docs/sum_dl so later appends re-derive stats right
-    n_docs = sum(e["n_docs"] for e in entries)
-    total_dl = sum(e["sum_dl"] for e in entries)
-    man.data["stats"] = {
-        "n_docs": n_docs,
-        "total_dl": total_dl,
-        "avgdl": (total_dl / n_docs) if n_docs else 0.0,
-    }
-    man.data["partitions"] = {f"0:{p}": e for p, e in zip(parts, entries)}
+    man.data["partitions"] = {}
+    for p, e in zip(parts, entries):
+        man.record_partition(p, 0, e)
     man.data["docstore"] = {"chunks": [{**c, "gen": 0} for c in chunks]}
+    man.data["stats"] = man.corpus_stats()
     man.data["tombstones"] = []
     man.data["optimized_at"] = time.time()
     man.save()
@@ -257,9 +226,10 @@ def optimize_index(index_dir: str) -> dict:
 def rebuild_index(index_dir: str) -> dict:
     """Rebuild postings from the stored documents (the reference's
     ``rebuildFts`` :1731-1774 / ``Indexer::rebuild`` :181-196): drops all
-    segments/doclens and re-runs the full build pipeline over the
-    docstore.  Doc ids, config, placement maps and stats are re-derived;
-    tombstoned docs are dropped in the process."""
+    segments and re-runs the full build pipeline over the docstore.  Doc
+    ids, config, placement maps, doc lengths and stats are re-derived;
+    tombstoned docs are dropped in the process.  This is the migration
+    of an index in an older format."""
     from .build import IndexConfig, build_index
 
     man = Manifest.load(index_dir)
@@ -274,8 +244,9 @@ def rebuild_index(index_dir: str) -> dict:
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)
     os.rename(docstore.docs_dir(index_dir), docstore.docs_dir(tmp))
-    for sub in ("postings", "doclens"):
-        shutil.rmtree(os.path.join(index_dir, sub), ignore_errors=True)
+    shutil.rmtree(os.path.join(index_dir, "postings"), ignore_errors=True)
+    # a format-5 index kept its doc lengths there; now the chunks do
+    shutil.rmtree(os.path.join(index_dir, "doclens"), ignore_errors=True)
     chunks = man.docstore_chunks()
     # the Parquet chunks of a format-2 (or older) index
     paths = [] if chunks else sorted(

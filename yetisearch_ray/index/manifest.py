@@ -23,9 +23,11 @@ MANIFEST_NAME = "manifest.json"
 # 4: a segment id per committed (partition, generation) in its entry
 #    and its files (``segment.py``).
 # 5: fixed-width posting runs in place of varbyte (``postings.py``).
+# 6: doc lengths as a docstore column, a chunk id and ``sum_dl`` per
+#    chunk entry (``docstore.py``).
 # No reader of older formats is kept: ``manage.rebuild_index`` rebuilds
 # an index from its docstore in the current format.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 @dataclass
@@ -116,25 +118,26 @@ class Manifest:
     def num_partitions(self) -> int:
         return int(self.data["config"]["num_partitions"])
 
-    def committed_partitions(self) -> set[int]:
-        """Committed partition ids (across generations; keys are
-        ``"gen:part"``, legacy bare ``"part"`` accepted)."""
-        out = set()
+    def partition_entries(self):
+        """(partition, generation, entry) of every partition entry (keys
+        are ``"gen:part"``)."""
         for k, v in self.data.get("partitions", {}).items():
-            if v.get("status") == "committed":
-                out.add(int(k.split(":")[-1]))
-        return out
+            gen, part = k.split(":")
+            yield int(part), int(gen), v
+
+    def committed_partitions(self) -> set[int]:
+        """Committed partition ids (across generations)."""
+        return {part for part, _, v in self.partition_entries()
+                if v.get("status") == "committed"}
 
     def _committed(self, field: str, max_generation: int | None):
         """(partition, generation, entry) of the committed partitions
         whose ``field`` is set and non-zero, optionally up to
         ``max_generation``."""
-        for k, v in self.data.get("partitions", {}).items():
-            g, _, part = k.rpartition(":")
-            gen = int(g or 0)
+        for part, gen, v in self.partition_entries():
             if (v.get("status") == "committed" and v.get(field)
                     and (max_generation is None or gen <= max_generation)):
-                yield int(part), gen, v
+                yield part, gen, v
 
     def segment_generations(self, max_generation: int | None = None
                             ) -> dict[int, set[int]]:
@@ -153,32 +156,34 @@ class Manifest:
         return {(part, gen): v["seg_id"] for part, gen, v
                 in self._committed("seg_id", max_generation)}
 
-    def doclens_segments(self, max_generation: int | None = None
-                         ) -> list[tuple[int, int]]:
-        """(partition, generation) of every committed doc-length file
-        (committed with docs), optionally up to ``max_generation``."""
-        return sorted((part, gen) for part, gen, _
-                      in self._committed("n_docs", max_generation))
-
     def docstore_chunks(self, max_generation: int | None = None
                         ) -> list[dict]:
         """The committed docstore chunks (``docstore.py`` entries: name,
-        rows, id range, bytes, generation), optionally up to
-        ``max_generation``."""
+        rows, id range, bytes, ``sum_dl``, chunk id, generation),
+        optionally up to ``max_generation``."""
         return [c for c in self.data.get("docstore", {}).get("chunks", [])
                 if max_generation is None or c["gen"] <= max_generation]
 
+    def corpus_stats(self, max_generation: int | None = None) -> dict:
+        """``n_docs``, ``total_dl`` and ``avgdl`` summed over the committed
+        chunk entries, optionally up to ``max_generation``: the BM25
+        corpus of that snapshot."""
+        chunks = self.docstore_chunks(max_generation)
+        n_docs = sum(c["rows"] for c in chunks)
+        total_dl = sum(c["sum_dl"] for c in chunks)
+        return {"n_docs": n_docs, "total_dl": total_dl,
+                "avgdl": (total_dl / n_docs) if n_docs else 0.0}
+
     def generations(self) -> set[int]:
-        return {
-            int(k.split(":")[0]) if ":" in k else 0
-            for k in self.data.get("partitions", {})
-        }
+        return {gen for _, gen, _ in self.partition_entries()}
 
-    def record_partition(self, part, metrics: dict) -> None:
-        self.data["partitions"][str(part)] = {"status": "committed", **metrics}
+    def record_partition(self, part: int, gen: int, metrics: dict) -> None:
+        self.data["partitions"][f"{gen}:{part}"] = {"status": "committed",
+                                                   **metrics}
 
-    def finalize(self, stats: dict, chunks: list[dict]) -> None:
-        self.data["stats"] = stats
+    def finalize(self, chunks: list[dict]) -> None:
+        """Commit ``chunks`` as the docstore and the stats they sum to."""
         self.data["docstore"] = {"chunks": chunks}
+        self.data["stats"] = self.corpus_stats()
         self.data["status"] = "committed"
         self.data["committed_at"] = time.time()

@@ -1,5 +1,5 @@
-"""Posting segments and doc-length files.  Every writer and reader of
-either goes through this module.
+"""Posting segments.  Every writer and reader of them goes through this
+module.  (Doc lengths are a docstore column: ``docstore.py``.)
 
 A segment ``postings/part=KKKKK-gGGG`` (partition K, generation G) is
 two files:
@@ -16,10 +16,6 @@ two files:
   offset in the decompressed block) and ``docs_len, tfs_len, pos_len``.
   Its schema metadata records the ``.blk`` size.
 
-The doc lengths of the same (partition, generation) are
-``doclens/part=KKKKK-gGGG.parquet``: ``doc_id`` (ascending) and ``dl``,
-one row per doc whose length rows the partition's exchange carried.
-
 The ``.blk`` is written first and the dictionary last, each tmp +
 rename, so the dictionary is the segment's commit point.  A cold term
 fetch is a binary search in the loaded dictionary, one ``os.pread`` and
@@ -28,20 +24,21 @@ behind a term index) and the dictionary-plus-offsets-into-compressed-
 lists design of "Highly Efficient String Similarity Search and Join
 over Compressed Indexes" (ICDE 2022).
 
-**Identity.**  Every file of one (partition, generation) carries the
-same random segment id (``new_segment_id``) in its schema metadata,
-and the manifest's ``gen:part`` entry records it.  The id, not the file
+**Identity.**  Both files of one (partition, generation) carry the
+same random segment id (``new_segment_id``) in their metadata, and the
+manifest's ``gen:part`` entry records it.  The id, not the file
 name, identifies a segment: ``optimize_index``, ``rebuild_index``,
 ``clear_index`` and dropping and re-creating an index all reuse the
 ``part=KKKKK-gGGG`` names.  A file whose id differs from the one its
 reader's manifest commits raises ``CorruptSegmentError``.
 
 **Sharing.**  The resident state of a committed segment — its
-dictionary arrays (``TermDictionary``) and its doc-length arrays
-(``DocLengths``) — is immutable and loaded once per process: a weak
-registry keyed by ``(realpath(index_dir), part, gen, seg_id)`` hands the
-loaded copy to every reader whose manifest commits that segment (the
-reuse of unchanged segments of Lucene's ``openIfChanged``).
+dictionary arrays (``TermDictionary``) — is immutable and loaded once
+per process: a weak registry keyed by ``(realpath(index_dir), part,
+gen, seg_id)`` hands the loaded copy to every reader whose manifest
+commits that segment (the reuse of unchanged segments of Lucene's
+``openIfChanged``).  ``docstore.py`` shares chunk columns through the
+same ``_shared``.
 
 **Lifetime.**  A ``SegmentSet`` takes strong references to the live
 entries of its snapshot when it is built and loads and registers the
@@ -54,7 +51,7 @@ file its dictionary addresses, so a segment that is rewritten later
 addresses.  ``SegmentSet.close`` releases the descriptors, not the
 shared state.
 
-A segment or doc-length file that is damaged — one that does not parse,
+A segment file that is damaged — one that does not parse,
 a ``.blk`` of the wrong size, a short read, a block that does not
 decompress, a segment id other than its manifest's — raises
 ``CorruptSegmentError`` naming the partition and generation; a missing
@@ -90,7 +87,6 @@ _SCHEMA = pa.schema([("term", pa.string()), ("field", pa.int8()),
                      ("docs_len", pa.uint32()), ("tfs_len", pa.uint32()),
                      ("pos_len", pa.uint32())])
 _STATS = ("term", "field", "df", "cf")
-_DL_SCHEMA = pa.schema([("doc_id", pa.uint64()), ("dl", pa.int64())])
 
 # one run as read back: (field, docs, tfs, pos) encoded blobs
 Record = tuple[int, bytes, bytes, bytes]
@@ -100,7 +96,6 @@ Record = tuple[int, bytes, bytes, bytes]
 # the weak values leave its lifetime to the readers that hold it
 _LOCK = threading.Lock()
 _DICTIONARIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_DOC_LENGTHS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class CorruptSegmentError(OSError):
@@ -108,7 +103,8 @@ class CorruptSegmentError(OSError):
 
 
 def new_segment_id() -> str:
-    """A fresh segment id for the files of one (partition, generation)."""
+    """A fresh random id: of the files of one (partition, generation),
+    or of a docstore chunk."""
     return uuid.uuid4().hex
 
 
@@ -120,11 +116,6 @@ def segment_paths(index_dir: str, part: int, gen: int) -> tuple[str, str]:
     """(dictionary, blocks) paths of one segment."""
     base = os.path.join(index_dir, "postings", segment_name(part, gen))
     return base + ".parquet", base + ".blk"
-
-
-def doc_lengths_path(index_dir: str, part: int, gen: int) -> str:
-    return os.path.join(index_dir, "doclens",
-                        segment_name(part, gen) + ".parquet")
 
 
 def _where(index_dir: str, part: int, gen: int) -> str:
@@ -238,59 +229,6 @@ def write_segment(index_dir: str, part: int, gen: int, terms: list,
     _replace_atomically(dict_path, lambda f: pq.write_table(
         table, f, compression="zstd", use_dictionary=False))
     return blk_bytes + os.path.getsize(dict_path)
-
-
-def write_doc_lengths(index_dir: str, part: int, gen: int, doc_ids,
-                      dl, seg_id: str) -> int:
-    """Write one (partition, generation)'s doc lengths, sorted by doc id,
-    under segment id ``seg_id``.  Returns the file's bytes."""
-    doc_ids = np.asarray(doc_ids, np.uint64)
-    o = np.argsort(doc_ids, kind="stable")
-    table = pa.table([pa.array(doc_ids[o], pa.uint64()),
-                      pa.array(np.asarray(dl, np.int64)[o], pa.int64())],
-                     schema=_DL_SCHEMA.with_metadata({_SEG_ID_KEY: seg_id}))
-    path = doc_lengths_path(index_dir, part, gen)
-    _replace_atomically(path, lambda f: pq.write_table(
-        table, f, compression="zstd"))
-    return os.path.getsize(path)
-
-
-class DocLengths:
-    """The doc lengths of one (partition, generation): ``ids``
-    (ascending) and ``dl``, read-only; shared (see the module
-    docstring)."""
-
-    def __init__(self, path: str, where: str, seg_id: str | None):
-        try:
-            with pq.ParquetFile(path) as pf:
-                t = pf.read()
-            if not t.schema.remove_metadata().equals(_DL_SCHEMA):
-                raise ValueError(f"doc-length schema {t.schema}")
-        except FileNotFoundError as e:
-            raise FileNotFoundError(
-                f"doc lengths of {where} missing: the manifest commits "
-                f"them") from e
-        except (OSError, ValueError) as e:
-            raise CorruptSegmentError(
-                f"damaged doc lengths of {where}: {e}") from e
-        self.seg_id = _segment_id(t.schema.metadata, seg_id, "doc lengths",
-                                  where)
-        self.ids = t["doc_id"].to_numpy()
-        self.dl = t["dl"].to_numpy()
-        self.ids.flags.writeable = self.dl.flags.writeable = False
-
-
-def read_doc_lengths(index_dir: str, part: int, gen: int,
-                     seg_id: str | None = None) -> DocLengths:
-    """The doc lengths of one (partition, generation): the shared copy
-    when ``seg_id`` (its manifest's) is given, else a private,
-    unchecked one."""
-    path, where = doc_lengths_path(index_dir, part, gen), _where(
-        index_dir, part, gen)
-    if seg_id is None:
-        return DocLengths(path, where, None)
-    return _shared(_DOC_LENGTHS, (_root(index_dir), part, gen, seg_id),
-                   lambda: DocLengths(path, where, seg_id))
 
 
 class TermDictionary:
@@ -432,34 +370,27 @@ class Segment:
 
 class SegmentSet:
     """The segments one manifest snapshot commits (``part -> gens``, with
-    ``seg_ids``: ``(part, gen) -> segment id``) and the doc-length files
-    it commits (``doc_lengths``: ``(part, gen)`` pairs).  Each
-    partition's dictionaries load on its first touch, the doc lengths
-    on the first ``doc_lengths()``; what another reader of this process
-    already holds is reused (see the module docstring).  Segments of
-    generations outside the snapshot are never opened."""
+    ``seg_ids``: ``(part, gen) -> segment id``).  Each partition's
+    dictionaries load on its first touch; what another reader of this
+    process already holds is reused (see the module docstring).
+    Segments of generations outside the snapshot are never opened."""
 
     def __init__(self, index_dir: str, part_gens: dict[int, Iterable[int]],
-                 seg_ids: dict[tuple[int, int], str] | None = None,
-                 doc_lengths: Iterable[tuple[int, int]] = ()):
+                 seg_ids: dict[tuple[int, int], str] | None = None):
         self.index_dir = index_dir
         self.part_gens = {int(p): sorted(int(g) for g in gs)
                           for p, gs in part_gens.items()}
         self.seg_ids = dict(seg_ids or {})
-        self.doc_length_segments = sorted(doc_lengths)
         self._loaded: dict[int, list[Segment]] = {}
         # strong references to the shared state of this snapshot, taken
         # from the registry now (what other readers hold) or at first load
         self._dictionaries: dict[tuple[int, int], TermDictionary] = {}
-        self._doc_lengths: dict[tuple[int, int], DocLengths] = {}
         root = _root(index_dir)
         with _LOCK:
             for (p, g), sid in self.seg_ids.items():
-                for registry, held in ((_DICTIONARIES, self._dictionaries),
-                                       (_DOC_LENGTHS, self._doc_lengths)):
-                    got = registry.get((root, p, g, sid))
-                    if got is not None:
-                        held[p, g] = got
+                got = _DICTIONARIES.get((root, p, g, sid))
+                if got is not None:
+                    self._dictionaries[p, g] = got
 
     def partition(self, part: int) -> list[Segment]:
         segs = self._loaded.get(part)
@@ -477,23 +408,6 @@ class SegmentSet:
                 self._dictionaries[part, seg.gen] = seg.dictionary
             self._loaded[part] = segs
         return segs
-
-    def doc_lengths(self) -> tuple[np.ndarray, np.ndarray]:
-        """(doc ids, lengths) of the snapshot's doc-length files,
-        concatenated in (partition, generation) order and stably sorted
-        by doc id."""
-        parts = []
-        for p, g in self.doc_length_segments:
-            dl = self._doc_lengths.get((p, g))
-            if dl is None:
-                dl = self._doc_lengths[p, g] = read_doc_lengths(
-                    self.index_dir, p, g, self.seg_ids.get((p, g)))
-            parts.append(dl)
-        if not parts:
-            return np.empty(0, np.uint64), np.empty(0, np.int64)
-        ids = np.concatenate([d.ids for d in parts])
-        o = np.argsort(ids, kind="stable")
-        return ids[o], np.concatenate([d.dl for d in parts])[o]
 
     def close(self) -> None:
         """Close every loaded segment's ``.blk``; later reads reopen

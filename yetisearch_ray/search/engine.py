@@ -9,8 +9,9 @@ highlights.
 
 Architecture: ``IndexReader`` is the stateful piece — manifest + corpus
 stats + doc-metadata arrays resident, postings decoded on demand with an
-LRU cache; the segment dictionaries and doc lengths it reads are shared
-with the other readers of the process (``index/segment.py``).
+LRU cache; the segment dictionaries and the docstore columns (doc
+lengths, filter columns) it reads are shared with the other readers of
+the process (``index/segment.py``, ``index/docstore.py``).
 ``SearchActor`` wraps an engine as a ``map_batches`` callable class so
 query serving runs as a Ray actor pool (state loaded once per actor in
 ``__init__``, per reference §2.3's cache/dictionary actors).
@@ -44,7 +45,7 @@ from ..analysis.analyzer import StandardAnalyzer
 from ..analysis.tokenizer import fold_text, tokenize as _index_tok
 from ..functions.geo import distance_blend, haversine_km, in_bounds, near_mask
 from ..index.build import term_partition
-from ..index.docstore import DocStore
+from ..index.docstore import DL_COLUMN, DocStore
 from ..index.manifest import Manifest
 from ..index.postings import decode_postings, merge_postings
 from ..index.segment import Record, SegmentSet
@@ -72,10 +73,10 @@ class IndexReader:
         self.manifest = Manifest.load(index_dir)
         self.manifest.require_current_format()
         # generation-pinned (time-travel / snapshot) reads: only segment
-        # files of generation <= max_generation are visible, and corpus
-        # stats (N, avgdl) are reconstructed from the manifest's
-        # per-(gen:part) metrics so BM25 at the snapshot is identical to
-        # an index built from just those docs.  Valid until
+        # files and docstore chunks of generation <= max_generation are
+        # visible, and corpus stats (N, avgdl) are summed over those
+        # chunks' entries so BM25 at the snapshot is identical to an
+        # index built from just those docs.  Valid until
         # optimize_index() compacts generations away.
         self.max_generation = max_generation
         cfg = self.manifest.config
@@ -84,18 +85,10 @@ class IndexReader:
         self.num_partitions = int(cfg["num_partitions"])
         self.id_column = cfg["id_column"]
         self.language_column = cfg.get("language_column")
-        st = self.manifest.stats
+        st = (self.manifest.stats if max_generation is None
+              else self.manifest.corpus_stats(max_generation))
         self.n_docs = int(st["n_docs"])
         self.avgdl = float(st["avgdl"]) if st["avgdl"] else 1.0
-        if max_generation is not None:
-            nd = td = 0
-            for k, v in (self.manifest.data.get("partitions") or {}).items():
-                gen = int(k.split(":")[0]) if ":" in k else 0
-                if gen <= max_generation and v.get("status") == "committed":
-                    nd += int(v.get("n_docs", 0))
-                    td += int(v.get("sum_dl", 0))
-            self.n_docs = nd
-            self.avgdl = (td / nd) if nd else 1.0
         # tombstones: deletes are logical until optimize_index() compacts
         # (N/avgdl intentionally reflect the pre-delete corpus until then,
         # mirroring "stats lag physical state" of segment architectures)
@@ -118,40 +111,46 @@ class IndexReader:
             "maxgen": max_generation,
         }, sort_keys=True, default=str)
         self.mutation_version = hashlib.md5(state.encode()).hexdigest()[:16]
-        # the segments and doc-length files this reader's own manifest
-        # commits: generations appended after it opened are never read
-        # (snapshot isolation), a committed segment that is gone is an
-        # error naming its partition rather than an absent term, and
-        # what another reader of this process loaded of them is reused
+        # the segments this reader's own manifest commits: generations
+        # appended after it opened are never read (snapshot isolation),
+        # a committed segment that is gone is an error naming its
+        # partition rather than an absent term, and what another reader
+        # of this process loaded of them is reused
         self._segments = SegmentSet(
             index_dir, self.manifest.segment_generations(max_generation),
-            self.manifest.segment_ids(max_generation),
-            self.manifest.doclens_segments(max_generation))
+            self.manifest.segment_ids(max_generation))
         self._cache: OrderedDict[str, dict[int, Posting]] = OrderedDict()
         self._cache_max = cache_terms
-        # the same snapshot of the docstore: chunks open on first touch
+        # the same snapshot of the docstore: chunks open on first touch,
+        # their columns shared as the segments are
         self._docstore = DocStore.committed(index_dir, self.manifest,
                                             max_generation)
         self._doc_meta: dict[str, np.ndarray] | None = None
+        self._meta_order: np.ndarray | None = None
         self._meta_dense = False
         self._live: np.ndarray | None = None
 
     # ---------------- doc metadata (lazy resident arrays) --------------
     def _load_meta(self):
-        """Doc-length arrays of this reader's snapshot (``segment.py``
-        doc-length files, shared with the other readers of the process),
-        sorted by doc_id for searchsorted lookup.  Needed by EVERY query
-        (BM25 normalization), so loaded eagerly on first use.
-        Filterable docstore columns load LAZILY, one column on first
-        reference (``_load_col``) — a reader serving unfiltered queries
-        never pays for store-column residency.
+        """Doc ids and lengths of this reader's snapshot: the docstore's
+        ``[id, dl]`` columns (shared with the other readers of the
+        process, ``index/docstore.py``), sorted by doc_id once for
+        searchsorted lookup — the identity unless appended chunks
+        interleave.  Needed by EVERY query (BM25 normalization), so
+        loaded eagerly on first use.  Filterable docstore columns load
+        LAZILY, one column on first reference (``_load_col``, in the
+        same order) — a reader serving unfiltered queries never pays for
+        store-column residency.
 
         At cluster scale these arrays shard by doc_id range across query
         actors (the SearchActor replica axis); term-partition sharding is
         the orthogonal axis served by search/sharded.py."""
         if self._doc_meta is not None:
             return
-        ids, dl = self._segments.doc_lengths()
+        ids, dl = self._docstore.column_arrays(DL_COLUMN)
+        if (ids[1:] < ids[:-1]).any():  # chunks of interleaved appends
+            self._meta_order = np.argsort(ids, kind="stable")
+            ids, dl = ids[self._meta_order], dl[self._meta_order]
         self._doc_meta = {self.id_column: ids, "dl_total": dl}
         # Fresh builds assign doc_ids densely (0..N-1), making id->row a
         # direct index — ~10x cheaper than searchsorted on the hot
@@ -163,24 +162,9 @@ class IndexReader:
     def _load_col(self, col: str):
         if col in self._doc_meta:
             return
-        t = self._docstore.column(col)
-        ids = (t[self.id_column].to_numpy(zero_copy_only=False)
-               .astype(np.uint64, copy=False))
-        vals = t[col].to_numpy(zero_copy_only=False)
-        if (ids[1:] <= ids[:-1]).any():  # chunks of interleaved appends
-            order = np.argsort(ids, kind="stable")
-            ids, vals = ids[order], vals[order]
-        ref = self._doc_meta[self.id_column]
-        if not (ids.size == ref.size and np.array_equal(ids, ref)):
-            # align by doc id; a doc-meta row without a docstore row is
-            # an error: a clamped lookup would give it another doc's value
-            at = np.searchsorted(ids, ref)
-            hit = (ids[np.minimum(at, ids.size - 1)] == ref if ids.size
-                   else np.zeros(ref.size, dtype=bool))
-            if not hit.all():
-                raise KeyError(f"doc ids without a docstore row in "
-                               f"{self.index_dir}: {ref[~hit][:5].tolist()}")
-            vals = vals[at]
+        _, vals = self._docstore.column_arrays(col)
+        if self._meta_order is not None:
+            vals = vals[self._meta_order]
         self._doc_meta[col] = vals
 
     def has_meta(self, col: str) -> bool:
@@ -224,7 +208,7 @@ class IndexReader:
 
     def rows_of(self, doc_ids: np.ndarray) -> np.ndarray:
         """Doc-meta row of each doc id, i.e. its position in the sorted
-        doc-length id array — the row space the scorer accumulates in
+        docstore id array — the row space the scorer accumulates in
         (rows ascend with doc id).  Raises ``KeyError`` for an id without
         a row: a clamped lookup would credit another doc."""
         rows, hit = self._find_rows(doc_ids)
