@@ -16,13 +16,15 @@
   removes the files it no longer lists.
 - A format-2 index (Parquet docstore) is refused until
   ``rebuild_index`` rebuilds it, with the same search output.
-- ``IndexReader.close`` unmaps the open chunks.
+- ``IndexReader.close`` drops the reader's chunks: a chunk is
+  unmapped once no reader holds it, and the reader still serves.
 """
 
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pyarrow as pa
@@ -392,11 +394,30 @@ def test_format_2_index_is_refused_until_rebuilt(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_close_unmaps_chunks(tmp_path):
+    """``close`` drops a reader's chunks: a chunk is unmapped once no
+    reader holds it, and the closed reader re-acquires on its next
+    read."""
     d, _, _ = _index(tmp_path)
-    reader = open_index(d)
+    reader, holder = open_index(d), open_index(d)
     want = reader.docs([5, 305])
-    maps = [ch._map for ch in reader._docstore._open.values()]
-    assert len(maps) == 2
+    holder.docs([5, 305])
+    chunks = list(reader._docstore._held.values())
+    assert len(chunks) == 2
+    assert list(holder._docstore._held.values()) == chunks  # one map each
+    refs = [weakref.ref(ch) for ch in chunks]
+    del chunks
     reader.close()
-    assert all(m.closed for m in maps) and not reader._docstore._open
-    assert reader.docs([5, 305]).equals(want)  # reopened
+    assert not reader._docstore._held
+    assert all(r() is not None for r in refs) and len(_mapped(d)) == 2
+    holder.close()
+    assert all(r() is None for r in refs) and _mapped(d) == []
+    assert reader.docs([5, 305]).equals(want)  # re-acquired
+    assert len(_mapped(d)) == 2
+
+
+def _mapped(d):
+    """The files under ``d`` this process has mapped."""
+    with open("/proc/self/maps") as f:
+        return sorted({ln.split(None, 5)[5].strip() for ln in f
+                       if len(ln.split(None, 5)) == 6
+                       and ln.split(None, 5)[5].startswith(d)})

@@ -10,7 +10,8 @@
   truncated ``.blk`` (at load, or as a short read after it), a block
   that does not decompress, a dictionary that does not parse.  Other
   partitions are still served.
-- ``IndexReader.close`` releases the open ``.blk`` files.
+- ``IndexReader.close`` drops the reader's segments: a ``.blk``
+  closes once no reader holds it, and the reader still serves.
 - ``cli verify`` decodes every run and exits 1 on damage, naming the
   term of a run that does not decode, whose fetch raises.
 - A format-1 index is refused, naming ``rebuild_index``, which
@@ -242,16 +243,41 @@ class TestDamage:
         self._assert_other_served(d, other)
 
 
+def _open_files(d):
+    """Paths under ``d`` that this process holds a descriptor of."""
+    fds = "/proc/self/fd"
+    out = []
+    for fd in os.listdir(fds):
+        try:
+            path = os.readlink(os.path.join(fds, fd))
+        except OSError:  # closed since the listing
+            continue
+        if path.startswith(d):
+            out.append(path)
+    return sorted(out)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_close_releases_segment_files(tmp_path):
+    """``close`` drops a reader's references: a segment's ``.blk``
+    closes once no reader holds it, and the closed reader re-acquires
+    on its next read."""
     d, part, other = _damage_index(tmp_path)
-    reader = open_index(d)
+    _, blk = segment_paths(d, part, 0)
+    reader, holder = open_index(d), open_index(d)
     want = reader.postings("w3")[0].doc_ids.tolist()
+    holder.postings("w3")
     (seg,) = reader._segments.partition(part)
+    assert holder._segments.partition(part) == [seg]  # one open segment
+    closed = seg._close
+    del seg
     reader.close()
-    assert seg._blk.closed
+    assert closed.alive and _open_files(d) == [blk]  # the holder's
+    holder.close()
+    assert not closed.alive and _open_files(d) == []
     reader._cache.clear()
-    assert reader.postings("w3")[0].doc_ids.tolist() == want  # reopened
+    assert reader.postings("w3")[0].doc_ids.tolist() == want
+    assert _open_files(d) == [blk]
 
 
 def _verify(d):

@@ -2,24 +2,34 @@
 docstore columns (``yetisearch_ray/index/docstore.py``) and the manifest
 writes around them.
 
-- A committed segment's dictionary and a committed docstore chunk's
-  columns (its doc lengths among them) load once per process and are
-  shared by every reader whose manifest commits them, keyed by their
-  segment or chunk id, not their file name: an
+- A committed segment (its ``.blk`` descriptor and dictionary) and a
+  committed docstore chunk (its map and the columns read of it, its doc
+  lengths among them) open once per process and are shared by every
+  reader whose manifest commits them, keyed by their segment or chunk
+  id, not their file name: an
   ``optimize_index`` that rewrites the ``-g000`` names while a reader
   of the old snapshot is alive, and dropping and re-creating an index
   at the same path, each leave the old reader on its snapshot and the
   new one on the new files.
-- A reader holds what other readers had loaded when it opened.
-- Threads opening readers at once end up sharing one copy.
-- A reader opened after an append, and the facade's write-then-search
-  traffic, load only the new generation's segments and chunks.
-- The registries empty once every reader is gone.
-- A file whose segment id is not its manifest's, or a ``.blk`` that is
-  not the file its shared dictionary was loaded against, raises
+- A reader holds what other readers had opened when it opened.  A
+  fresh reader of a held snapshot opens no file through the benchmark's
+  read pass; after an append it opens only generation-1 files.
+- Threads opening readers, gathering docs and highlighting at once end
+  up on one ``Segment`` and one ``_Chunk`` per file.
+- ``close`` drops a reader's references; the registries and the
+  process's descriptors of the index empty once every reader is gone,
+  and a process that reads and exits under ``python -X dev`` leaves no
+  ``ResourceWarning``.
+- A file whose segment id is not its manifest's raises
   ``CorruptSegmentError`` naming the partition and generation, and
   ``cli verify`` exits 1 on a rewritten segment; a chunk whose chunk id
-  is not its manifest's raises it naming the chunk.
+  is not its manifest's raises it naming the chunk.  A held segment
+  serves its bytes after a copy is renamed over its path; a reader
+  with no holder loads only a ``.blk`` of the size its dictionary
+  addresses.
+- A reader whose snapshot a later commit superseded (here an
+  ``optimize_index``) says so on its first touch of a file it had not
+  opened.
 - ``optimize_index`` ignores a chunk its manifest does not commit.
 - A ``max_generation`` reader's corpus stats are those of an index
   built from only those generations' docs.
@@ -32,6 +42,7 @@ writes around them.
   its sort (the ``groupby("part")`` exchange), not from our operators.
 """
 
+import ast
 import gc
 import json
 import os
@@ -84,32 +95,33 @@ def _results(eng):
 
 def _registered(d):
     root = os.path.realpath(d)
-    return [k for reg in (segment._DICTIONARIES, docstore._COLUMNS)
+    return [k for reg in (segment._SEGMENTS, docstore._CHUNKS)
             for k in list(reg.keys()) if k[0] == root]
 
 
 class _Loads:
-    """Spy on the loads from disk of dictionaries (``paths``, file
-    names) and chunk columns (``chunks``, ``(chunk name, column)``)."""
+    """Spy on the opens of segments (``segments``, their
+    ``part=KKKKK-gGGG`` names) and docstore chunks (``chunks``, their
+    names)."""
 
     def __init__(self, monkeypatch):
-        self.paths, self.chunks = [], []
-        base = segment.TermDictionary
+        self.segments, self.chunks = [], []
+        base = segment.Segment
 
-        def load_dictionary(obj, path, *rest):
-            self.paths.append(os.path.basename(path))
-            base.__init__(obj, path, *rest)
+        def load_segment(obj, index_dir, part, gen, *rest):
+            self.segments.append(segment.segment_name(part, gen))
+            base.__init__(obj, index_dir, part, gen, *rest)
 
-        monkeypatch.setattr(segment, "TermDictionary", type(
-            "TermDictionary", (base,), {"__init__": load_dictionary}))
-        col_base = docstore.ChunkColumn
+        monkeypatch.setattr(segment, "Segment", type(
+            "Segment", (base,), {"__init__": load_segment}))
+        chunk_base = docstore._Chunk
 
-        def load_column(obj, ch, id_column, col):
-            self.chunks.append((ch.name, col))
-            col_base.__init__(obj, ch, id_column, col)
+        def load_chunk(obj, d, entry):
+            self.chunks.append(entry["name"])
+            chunk_base.__init__(obj, d, entry)
 
-        monkeypatch.setattr(docstore, "ChunkColumn", type(
-            "ChunkColumn", (col_base,), {"__init__": load_column}))
+        monkeypatch.setattr(docstore, "_Chunk", type(
+            "_Chunk", (chunk_base,), {"__init__": load_chunk}))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -122,13 +134,12 @@ class TestSharing:
         loads = _Loads(monkeypatch)
         second = _engine(d)
         assert _results(second) == want
-        # every dictionary and chunk column (doc lengths) shared
-        assert loads.paths == [] and loads.chunks == []
+        # every segment and chunk (doc lengths) shared
+        assert loads.segments == [] and loads.chunks == []
         for p in second.index._segments.part_gens:
             for a, b in zip(first.index._segments.partition(p),
                             second.index._segments.partition(p)):
-                assert a.dictionary is b.dictionary
-                assert a._blk is not b._blk  # descriptors stay per reader
+                assert a is b
 
     def test_reader_holds_what_was_loaded_when_it_opened(
             self, tmp_path, monkeypatch):
@@ -143,7 +154,7 @@ class TestSharing:
         gc.collect()
         loads = _Loads(monkeypatch)
         assert _results(new) == want
-        assert loads.paths == [] and loads.chunks == []
+        assert loads.segments == [] and loads.chunks == []
 
     def test_reader_after_append_loads_only_new_chunks(
             self, tmp_path, monkeypatch):
@@ -159,9 +170,9 @@ class TestSharing:
         new = _engine(d)
         got = _results(new)
         assert got[QUERIES.index("zulu")]  # the appended docs are served
-        assert sorted(loads.chunks) == sorted(
-            (name, DL_COLUMN) for name in new_chunks)
-        assert loads.paths and all("-g001." in p for p in loads.paths)
+        assert sorted(loads.chunks) == sorted(new_chunks)
+        assert loads.segments and all(
+            p.endswith("-g001") for p in loads.segments)
 
     def test_optimize_rewrite_with_old_reader_alive(self, tmp_path):
         d, ref = str(tmp_path / "idx"), str(tmp_path / "ref")
@@ -187,7 +198,7 @@ class TestSharing:
         assert _results(old) == before
         for p in new.index._segments.part_gens:
             (seg,) = new.index._segments.partition(p)
-            assert all(seg.dictionary is not s.dictionary
+            assert all(seg is not s
                        for s in old.index._segments.partition(p))
 
     def test_drop_and_recreate_at_same_path(self, tmp_path):
@@ -207,14 +218,17 @@ class TestSharing:
 
     def test_threads_open_readers_at_once(self, tmp_path):
         """Eight threads (more than the host's cores) open readers of one
-        snapshot at once, with a short switch interval: every reader
-        gets the same result and all of them end up on one copy of each
-        dictionary and doc-length file."""
+        snapshot at once, with a short switch interval, and search,
+        gather docs and highlight through them: every reader gets the
+        same result, all of them end up on one ``Segment`` and one
+        ``_Chunk`` per file, sharing its descriptor, its IPC reader and
+        its columns, and once they are gone the process holds no file
+        of the index."""
         d = str(tmp_path / "idx")
         _build(d, _corpus(range(300)))
-        want = _results(_engine(d))
-        gc.collect()  # nothing registered: the threads race to load
-        assert _registered(d) == []
+        want = _reads(_engine(d))
+        gc.collect()  # nothing registered: the threads race to open
+        assert _registered(d) == [] and _open_files(d) == []
         n = 8
         start = threading.Barrier(n)
         out, errors = [None] * n, []
@@ -223,7 +237,7 @@ class TestSharing:
             try:
                 start.wait(timeout=60)
                 eng = _engine(d)
-                out[i] = (eng, _results(eng))
+                out[i] = (eng, _reads(eng))
             except BaseException as e:  # surfaced below
                 errors.append(e)
 
@@ -239,17 +253,21 @@ class TestSharing:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        first = out[0][0].index._segments
+        first = out[0][0].index
         for eng, got in out:
             assert got == want
             segs = eng.index._segments
-            for p in first.part_gens:
-                for x, y in zip(first.partition(p), segs.partition(p)):
-                    assert x.dictionary is y.dictionary
-            cols = eng.index._docstore._columns
-            firsts = out[0][0].index._docstore._columns
-            assert cols.keys() == firsts.keys() and cols
-            assert all(cols[k] is v for k, v in firsts.items())
+            for p in first._segments.part_gens:
+                for x, y in zip(first._segments.partition(p),
+                                segs.partition(p)):
+                    assert x is y
+            held = eng.index._docstore._held
+            assert held.keys() == first._docstore._held.keys() and held
+            assert all(first._docstore._held[k] is v for k, v in held.items())
+        assert _open_files(d)
+        del out, first, eng, segs, held, x, y
+        gc.collect()
+        assert _registered(d) == [] and _open_files(d) == []
 
     def test_facade_search_after_write_loads_only_new_generation(
             self, tmp_path, monkeypatch):
@@ -262,35 +280,203 @@ class TestSharing:
             "title": f"book {i}", "content": f"rocket w{i % 7} {WORDS[i % 6]}"}}
             for i in range(60)])
         assert ys.search("books", "rocket zulu", limit=100).num_rows == 60
-        loads = _Loads(monkeypatch)
         ys.index_batch("books", [{"content": {
             "title": "late", "content": "rocket zulu"}}])
+        loads = _Loads(monkeypatch)  # the build checked its new chunk
         got = ys.search("books", "rocket zulu", limit=100)
         assert got.num_rows == 61
         new_id = ys.last_assigned_ids[0]
         assert got["doc_id"][0].as_py() == new_id  # matches both terms
-        assert loads.paths and all("-g001." in p for p in loads.paths), \
-            loads.paths
+        assert loads.segments and all(
+            p.endswith("-g001") for p in loads.segments), loads.segments
         chunks = Manifest.load(os.path.join(ys.root, "books")) \
             .docstore_chunks()
-        assert loads.chunks == [(c["name"], DL_COLUMN) for c in chunks
-                                if c["gen"] == 1]
+        assert loads.chunks == [c["name"] for c in chunks if c["gen"] == 1]
         ys.close()
 
     def test_registry_empties_when_readers_are_gone(self, tmp_path):
         d = str(tmp_path / "idx")
         _build(d, _corpus(range(100)))
         eng = _engine(d)
-        _results(eng)
-        eng.index.close()  # descriptors only: the state stays held
+        want = _results(eng)
+        assert _registered(d)
+        eng.index.close()  # drops the references of the only holder
+        assert _registered(d) == [] and _open_files(d) == []
+        eng.index._cache.clear()
+        assert _results(eng) == want  # the reader re-acquires
         assert _registered(d)
         del eng
         gc.collect()
-        assert _registered(d) == []
+        assert _registered(d) == [] and _open_files(d) == []
+
+    def test_superseded_snapshot_says_so(self, tmp_path):
+        """A reader that searched, then saw an ``optimize_index``, on
+        its first touch of a partition it had not opened; and a reader
+        that had opened nothing, on its first gather once no other
+        reader holds the old chunks."""
+        from yetisearch_ray.index.manage import delete_docs, optimize_index
+
+        d = str(tmp_path / "idx")
+        docs = _corpus(range(150))
+        _build(d, {i: docs[i] for i in range(100)})
+        _build(d, {i: docs[i] for i in range(100, 150)}, append=True,
+               tag="gen1")
+        delete_docs(d, [120])
+        searched, untouched = _engine(d), _engine(d)
+        searched.search("alpha")
+        optimize_index(d)
+        held = searched.index._term_parts("alpha")
+        other = next(w for w in (f"w{i}" for i in range(13))
+                     if searched.index._term_parts(w)[0] not in held)
+        superseded = ("superseded by a later commit; open the index "
+                      "again")
+        with pytest.raises(CorruptSegmentError, match=superseded):
+            searched.search(other)
+        del searched  # the holder of every chunk it had loaded
+        gc.collect()
+        with pytest.raises(CorruptSegmentError,
+                           match="docstore chunk .*" + superseded):
+            untouched.index.docs([130])
+        assert _engine(d).search(other).num_rows  # a new reader serves
+
+
+def _open_files(d):
+    """Paths under ``d`` this process holds a descriptor or a map of."""
+    root = os.path.realpath(d)
+    fds = "/proc/self/fd"
+    out = set()
+    for fd in os.listdir(fds):
+        try:
+            out.add(os.readlink(os.path.join(fds, fd)))
+        except OSError:  # closed since the listing
+            pass
+    with open("/proc/self/maps") as f:
+        out.update(ln.split(None, 5)[5].strip() for ln in f
+                   if len(ln.split(None, 5)) == 6)
+    return sorted(p for p in out if p.startswith(root))
+
+
+def _reads(eng):
+    """Ids-only results, a docs gather and highlighted searches."""
+    return (_results(eng),
+            eng.index.docs(list(range(0, 300, 7))).to_pylist(),
+            [eng.search(q, limit=20, with_docs=True, highlight=True)
+             .to_pylist() for q in QUERIES])
+
+
+def _perfbench_queries():
+    """``QUERY_SET`` and ``DOCS_PROBE`` of ``perfbench/workloads.py``,
+    read without importing the benchmark."""
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as f:
+        tree = ast.parse(f.read())
+    got = {t.id: ast.literal_eval(node.value) for node in tree.body
+           if isinstance(node, ast.Assign) for t in node.targets
+           if isinstance(t, ast.Name)
+           and t.id in ("QUERY_SET", "DOCS_PROBE")}
+    return got["QUERY_SET"], got["DOCS_PROBE"]
+
+
+class _Opens:
+    """Spy on the opens of files under ``d`` the way ``segment.py`` and
+    ``docstore.py`` open them: a ``.blk`` (``os.open``), a dictionary
+    (``pq.ParquetFile``), a chunk (``pa.memory_map``)."""
+
+    def __init__(self, monkeypatch, d):
+        import pyarrow.parquet as pq
+
+        self.files = []
+        root = os.path.realpath(d)
+
+        def spy(real):
+            def opened(path, *a, **kw):
+                if os.path.realpath(str(path)).startswith(root):
+                    self.files.append(os.path.basename(path))
+                return real(path, *a, **kw)
+            return opened
+
+        monkeypatch.setattr(os, "open", spy(os.open))
+        monkeypatch.setattr(pq, "ParquetFile", spy(pq.ParquetFile))
+        monkeypatch.setattr(pa, "memory_map", spy(pa.memory_map))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_fresh_reader_of_a_held_snapshot_opens_no_file(tmp_path,
+                                                       monkeypatch):
+    """The benchmark's ``update`` read pass (its query set, then its
+    docs probes with docs and highlights) on a reader opened afresh
+    while a reader of the same snapshot that ran it is alive opens no
+    file; after an append, only generation-1 files."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from yetisearch_ray.index.build import IndexConfig, build_index
+    from yetisearch_ray.sources.corpus import generate_code_corpus
+
+    query_set, docs_probe = _perfbench_queries()
+
+    def read_pass(eng):
+        return ([eng.search(q, limit=10, **kw).to_pylist()
+                 for q, kw in query_set]
+                + [eng.search(q, limit=10, with_docs=True, highlight=True,
+                              **kw).to_pylist() for q, kw in docs_probe])
+
+    t = pq.read_table(generate_code_corpus(
+        400, str(tmp_path / "corpus"), num_files=2))
+    t = t.append_column("doc_id", pa.array(range(t.num_rows), pa.uint64()))
+    d = str(tmp_path / "idx")
+    cfg = IndexConfig(
+        fields=[("path", "path"), ("content", "content")],
+        language_column="lang",
+        store_columns=["repo", "path", "commit", "lang", "content"],
+        num_partitions=8, content_hash_column="content")
+    build_index(rd.from_arrow(t.slice(0, 300)), d, cfg)
+    live = _engine(d)
+    want = read_pass(live)
+    opens = _Opens(monkeypatch, d)
+    fresh = _engine(d)
+    assert read_pass(fresh) == want
+    assert opens.files == []
+    monkeypatch.undo()
+    build_index(rd.from_arrow(t.slice(300)), d, cfg, append=True,
+                input_fingerprint="gen1")
+    new_chunks = {c["name"] for c in Manifest.load(d).docstore_chunks()
+                  if c["gen"] == 1}
+    opens = _Opens(monkeypatch, d)
+    appended = _engine(d)
+    got = read_pass(appended)
+    assert any(r["doc_id"] >= 300 for rows in got for r in rows)
+    assert opens.files and all(
+        "-g001." in f or f in new_chunks for f in opens.files), opens.files
+    assert new_chunks <= set(opens.files)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_reading_process_exits_without_resource_warnings(tmp_path):
+    d = str(tmp_path / "idx")
+    _build(d, _corpus(range(100)))
+    code = "\n".join([
+        "from yetisearch_ray.search.engine import SearchEngine, open_index",
+        f"eng = SearchEngine(open_index({d!r}), cache_ttl=0.0)",
+        "assert eng.search('alpha', limit=5).num_rows",
+        "assert eng.search('beta gamma', limit=5, with_docs=True,",
+        "                  highlight=True).num_rows",
+        "assert eng.index.docs([1, 2, 3]).num_rows == 3",
+        f"other = open_index({d!r})",
+        "other.postings('sigma')",
+        "other.close()",
+        "print('ok')"])
+    p = subprocess.run([sys.executable, "-X", "dev", "-c", code], cwd=ROOT,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0 and p.stdout.strip() == "ok", p.stderr
+    assert "ResourceWarning" not in p.stderr, p.stderr
 
 
 def _segment_ids(d):
     return Manifest.load(d).segment_ids()
+
+
+def _doc_ids(postings):
+    return {f: p.doc_ids.tolist() for f, p in postings.items()}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -338,21 +524,37 @@ class TestSegmentIds:
                            match=f"docstore chunk {c['name']} .*chunk id"):
             _engine(d).search("w3")
 
-    def test_blocks_replaced_under_a_loaded_dictionary_are_refused(
+    def test_held_segment_serves_its_bytes_after_a_rename_over_it(
             self, tmp_path):
-        """A reader that finds a shared dictionary still opens its own
-        ``.blk``: one that is not the file the dictionary was loaded
-        against (here a same-size copy renamed over it) is refused."""
+        """A reader that finds a held segment reads through its open
+        descriptor, not the path: a same-size file of other bytes
+        renamed over the ``.blk`` changes nothing for it.  A reader with
+        no holder opens the path, whose damaged bytes it refuses, and
+        loads only a ``.blk`` of the size its dictionary addresses."""
         d, part = self._index(tmp_path)
         holder = open_index(d)
-        holder.postings("w3")  # registers the dictionary
+        want = _doc_ids(holder.postings("w3"))
         blk = segment.segment_paths(d, part, 0)[1]
-        with open(blk, "rb") as f, open(blk + ".new", "wb") as g:
-            g.write(f.read())
-        os.replace(blk + ".new", blk)
+        size = os.path.getsize(blk)
+
+        def rename_over(data):
+            with open(blk + ".new", "wb") as f:
+                f.write(data)
+            os.replace(blk + ".new", blk)
+
+        rename_over(b"\xff" * size)
+        assert _doc_ids(open_index(d).postings("w3")) == want
+        del holder
+        gc.collect()
+        assert _registered(d) == []
+        where = f"partition {part:05d} generation 0"
         with pytest.raises(CorruptSegmentError,
-                           match=f"posting blocks of partition {part:05d} "
-                                 f"generation 0 .*replaced"):
+                           match=f"damaged posting block of {where}"):
+            open_index(d).postings("w3")
+        rename_over(b"\xff" * (size - 1))
+        with pytest.raises(CorruptSegmentError,
+                           match=f"posting blocks of {where} .*are "
+                                 f"{size - 1} bytes"):
             open_index(d).postings("w3")
 
     def test_verify_reports_a_segment_rewritten_under_its_name(

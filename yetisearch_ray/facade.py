@@ -25,9 +25,9 @@ class YetiSearchRay:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self._engines: dict[str, Any] = {}
-        # name -> the reader of the last released engine, kept (files
-        # closed) until engine(name) has opened its replacement, which
-        # reuses its loaded segments (index/segment.py)
+        # name -> the reader of the last released engine, kept open
+        # until engine(name) has opened its replacement, which reuses
+        # its open segments and chunks (index/segment.py)
         self._retired: dict[str, Any] = {}
         self._configs: dict[str, Any] = {}
         self.default_config = default_config or {}
@@ -340,9 +340,9 @@ class YetiSearchRay:
     def _release_engine(self, name: str, keep_reader: bool = True) -> None:
         """Drop a cached engine AFTER flushing its persistent tiers —
         a bare pop() loses pending fuzzy-cache entries and leaks the
-        query cache's SQLite connection.  Its reader's files close; the
-        reader itself is kept (``keep_reader``) until the next
-        ``engine(name)`` has opened its replacement."""
+        query cache's SQLite connection.  The reader is kept unclosed
+        (``keep_reader``) until the next ``engine(name)`` has opened its
+        replacement, which takes over the files it holds."""
         if not keep_reader:
             self._retired.pop(name, None)
         eng = self._engines.pop(name, None)
@@ -360,9 +360,10 @@ class YetiSearchRay:
                 pq_cache.close()
             except Exception:
                 pass
-        eng.index.close()
         if keep_reader:
             self._retired[name] = eng.index
+        else:
+            eng.index.close()
 
     def close(self) -> None:
         """Flush persistent cache tiers and release cached engines

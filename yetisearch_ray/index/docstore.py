@@ -29,14 +29,14 @@ batches of ``DOC_ROWS`` rows.  A column load reads only that column's
 buffers (``included_fields``).  This is the dictionary-plus-offsets-
 into-compressed-units layout ``segment.py`` gives postings.
 
-**Sharing.**  A reader's resident columns (``[id, dl]`` for every
-query, ``[id, col]`` for a filter column) come chunk by chunk from a
-weak registry keyed by ``(realpath(index_dir), chunk name, chunk id,
-column)`` (``ChunkColumn``), so the readers of one process load each
-committed chunk's column once, as ``segment.py`` shares dictionaries.
-A ``DocStore`` takes strong references to the live entries of its
-chunks when it is built: a reader opened after a write loads only the
-new chunks.
+**Sharing.**  An open committed chunk (``_Chunk``: its map, IPC reader,
+batch ranges and the ``[id, col]`` columns read of it, ``[id, dl]``
+for every query) is one object per process, held by every reader whose
+manifest commits it through a weak registry keyed by
+``(realpath(index_dir), chunk name, chunk id)``, as ``segment.py``
+shares segments, with the same lifetime: a map closes when the last
+holder drops its chunk.  A chunk whose entry has no chunk id
+(``new_chunks``, a format-5 chunk) is private.
 
 Damage fails loudly and never reads as absent rows: a committed chunk
 that is missing raises ``FileNotFoundError``; a chunk that does not
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import weakref
 from typing import Iterable
 
@@ -61,8 +60,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .manifest import Manifest
-from .segment import (_LOCK, CorruptSegmentError, _root, _shared,
-                      new_segment_id)
+from .segment import (_LOCK, CorruptSegmentError, _replace_atomically,
+                      _root, _shared, _superseded, new_segment_id)
 
 # rows per record batch.  Halving it speeds a gather less than it slows
 # a column load (4-CPU host, 50k-doc docstore: a batch decodes in 0.23 ms
@@ -76,9 +75,9 @@ _META_KEY = b"yetisearch.docstore"
 _WRITE = pa.ipc.IpcWriteOptions(compression="zstd")
 _ARROW_ERRORS = (pa.ArrowException, OSError, ValueError, KeyError, TypeError)
 
-# the shared ChunkColumns, by (realpath, chunk name, chunk id, column);
-# process-wide on purpose, as segment._DICTIONARIES
-_COLUMNS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# the open committed chunks, by (realpath, chunk name, chunk id);
+# process-wide on purpose, as segment._SEGMENTS
+_CHUNKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def chunk_name(lo: int, hi: int) -> str:
@@ -100,8 +99,6 @@ def write_chunk(index_dir: str, table: pa.Table, id_column: str,
     """Write ``table`` (unique ids) and its rows' doc lengths ``dl`` as
     one chunk named by its id range, under a fresh chunk id; returns its
     manifest entry (without the generation)."""
-    d = docs_dir(index_dir)
-    os.makedirs(d, exist_ok=True)
     dl = np.asarray(dl, np.uint32)
     t = (table.append_column(DL_COLUMN, pa.array(dl, pa.uint32()))
          .sort_by(id_column).combine_chunks())
@@ -116,18 +113,16 @@ def write_chunk(index_dir: str, table: pa.Table, id_column: str,
     lo, hi = int(ids[0]), int(ids[-1])
     name = chunk_name(lo, hi)
     schema = t.schema.with_metadata({_META_KEY: json.dumps(meta)})
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".docs-")
-    try:
-        with os.fdopen(fd, "wb") as f, \
-                pa.ipc.new_file(f, schema, options=_WRITE) as w:
+    path = os.path.join(docs_dir(index_dir), name)
+
+    def write(f):
+        with pa.ipc.new_file(f, schema, options=_WRITE) as w:
             for b in batches:
                 w.write_batch(b)
-        os.replace(tmp, os.path.join(d, name))
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return _entry(name, int(ids.size), lo, hi,
-                  os.path.getsize(os.path.join(d, name)), sum_dl, chunk_id)
+
+    _replace_atomically(path, write)
+    return _entry(name, int(ids.size), lo, hi, os.path.getsize(path),
+                  sum_dl, chunk_id)
 
 
 def uncommitted_chunks(index_dir: str, committed: Iterable[dict]
@@ -168,13 +163,17 @@ def _hits(ids: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _Chunk:
-    """One open chunk: memory-mapped, its footer and metadata parsed."""
+    """One open chunk: memory-mapped, its footer and metadata parsed,
+    and the ``[id, col]`` columns read of it so far (``column``)."""
+
+    shared = False
 
     def __init__(self, d: str, entry: dict):
         self.name, self.lo, self.hi = entry["name"], entry["lo"], entry["hi"]
         self.path = os.path.join(d, self.name)
         self.where = (f"docstore chunk {self.name} (ids {self.lo}.."
                       f"{self.hi}) in {d}")
+        self._columns: dict = {}  # col -> (ids, values, Arrow type)
         if not os.path.exists(self.path):
             raise FileNotFoundError(
                 f"{self.where} missing: the manifest commits it")
@@ -215,7 +214,9 @@ class _Chunk:
         return None
 
     def close(self) -> None:
-        self._map.close()
+        """Unmap a private chunk (not a registered one)."""
+        if not self.shared:
+            self._map.close()
 
     def __enter__(self) -> "_Chunk":
         return self
@@ -267,20 +268,21 @@ class _Chunk:
                 f"damaged {self.where}: its ids do not ascend strictly "
                 f"from {self.lo} to {self.hi}")
 
-
-class ChunkColumn:
-    """``[id, col]`` of one chunk: ``ids`` (ascending, checked) and
-    ``values``, read-only, and the column's Arrow ``type``; shared (see
-    the module docstring)."""
-
-    def __init__(self, ch: _Chunk, id_column: str, col: str):
-        t = ch.read(list(dict.fromkeys((id_column, col))))
-        self.ids = (t[id_column].to_numpy(zero_copy_only=False)
-                    .astype(np.uint64, copy=False))
-        ch.check_ids(self.ids)
-        self.values = t[col].to_numpy(zero_copy_only=False)
-        self.type = t.schema.field(col).type
-        self.ids.flags.writeable = self.values.flags.writeable = False
+    def column(self, id_column: str, col: str
+               ) -> tuple[np.ndarray, np.ndarray, pa.DataType]:
+        """``[id, col]`` of the chunk, read once: ids (ascending,
+        checked) and values, read-only, and the column's Arrow type."""
+        got = self._columns.get(col)
+        if got is None:
+            t = self.read(list(dict.fromkeys((id_column, col))))
+            ids = (t[id_column].to_numpy(zero_copy_only=False)
+                   .astype(np.uint64, copy=False))
+            self.check_ids(ids)
+            values = t[col].to_numpy(zero_copy_only=False)
+            ids.flags.writeable = values.flags.writeable = False
+            got = self._columns.setdefault(
+                col, (ids, values, t.schema.field(col).type))
+        return got
 
 
 def _read_options(**kw) -> pa.ipc.IpcReadOptions:
@@ -292,9 +294,8 @@ def _read_options(**kw) -> pa.ipc.IpcReadOptions:
 
 class DocStore:
     """The chunks one manifest snapshot commits, each opened (memory
-    mapped) on first touch and kept open until ``close``; the shared
-    columns of these chunks that some reader of the process held when
-    it was built stay held (see the module docstring)."""
+    mapped) on first touch unless another reader of this process holds
+    it (see the module docstring)."""
 
     def __init__(self, index_dir: str, chunks: list[dict], id_column: str):
         self.index_dir = index_dir
@@ -302,17 +303,14 @@ class DocStore:
         self.chunks = sorted(chunks, key=lambda c: c["lo"])
         self._lo = np.array([c["lo"] for c in self.chunks], np.uint64)
         self._hi = np.array([c["hi"] for c in self.chunks], np.uint64)
-        self._open: dict[int, _Chunk] = {}
         self._root = _root(index_dir)
-        self._columns: dict[tuple[int, str], ChunkColumn] = {}
-        at = {(c["name"], c["chunk_id"]): i
-              for i, c in enumerate(self.chunks) if c.get("chunk_id")}
+        # the chunks this store holds, by index: taken from the registry
+        # now (what other readers hold) or at first touch
         with _LOCK:
-            live = list(_COLUMNS.items())
-        for (root, name, cid, col), v in live:
-            i = at.get((name, cid))
-            if i is not None and root == self._root:
-                self._columns[i, col] = v
+            self._held: dict[int, _Chunk] = {
+                i: ch for i, c in enumerate(self.chunks) if c.get("chunk_id")
+                and (ch := _CHUNKS.get((self._root, c["name"],
+                                        c["chunk_id"]))) is not None}
 
     @classmethod
     def committed(cls, index_dir: str, manifest: Manifest | None = None,
@@ -324,18 +322,30 @@ class DocStore:
                    man.config["id_column"])
 
     def chunk(self, i: int) -> _Chunk:
-        ch = self._open.get(i)
+        ch = self._held.get(i)
         if ch is None:
-            ch = self._open[i] = _Chunk(docs_dir(self.index_dir),
-                                         self.chunks[i])
+            ch = self._held[i] = self._acquire(self.chunks[i])
         return ch
 
+    def _acquire(self, c: dict) -> _Chunk:
+        d, cid = docs_dir(self.index_dir), c.get("chunk_id")
+        if not cid:
+            return _Chunk(d, c)
+        try:
+            return _shared(_CHUNKS, (self._root, c["name"], cid),
+                           lambda: _Chunk(d, c))
+        except (FileNotFoundError, CorruptSegmentError) as e:
+            raise _superseded(e, self.index_dir, f"docstore chunk {c['name']}",
+                              lambda m: (c["name"], cid) in {
+                                  (x["name"], x.get("chunk_id"))
+                                  for x in m.docstore_chunks()}) from e
+
     def close(self) -> None:
-        """Unmap every open chunk; later reads reopen what they need.
-        The shared columns stay held."""
-        for ch in self._open.values():
+        """Drop this store's chunks (unmapping the private ones); later
+        reads re-acquire them."""
+        for ch in self._held.values():
             ch.close()
-        self._open.clear()
+        self._held.clear()
 
     def __enter__(self) -> "DocStore":
         return self
@@ -405,35 +415,19 @@ class DocStore:
                           else t.cast(read_schema))
         return pa.concat_tables(pieces).select(cols)
 
-    def column(self, col: str) -> pa.Table:
-        """``[id, col]`` of every row, in docstore order."""
-        return self.scan([self.id_column, col])
-
-    def _chunk_column(self, i: int, col: str) -> ChunkColumn:
-        got = self._columns.get((i, col))
-        if got is None:
-            c = self.chunks[i]
-
-            def load():
-                return ChunkColumn(self.chunk(i), self.id_column, col)
-
-            got = self._columns[i, col] = (
-                _shared(_COLUMNS, (self._root, c["name"], c["chunk_id"], col),
-                        load) if c.get("chunk_id") else load())
-        return got
-
     def column_arrays(self, col: str) -> tuple[np.ndarray, np.ndarray]:
         """(ids, values) of ``col`` (``DL_COLUMN`` too) for every row in
-        docstore order, concatenated from the shared per-chunk columns.
+        docstore order, concatenated from the chunks' columns.
         Raises ``KeyError`` for a column the store does not have."""
         if not self.chunks:
             return (np.empty(0, np.uint64),
                     np.empty(0, np.uint32 if col == DL_COLUMN else object))
         typ = self.chunk(0).schema.field(col).type
-        parts = [self._chunk_column(i, col) for i in range(len(self.chunks))]
-        ids = np.concatenate([p.ids for p in parts])
-        if all(p.type == typ for p in parts):
-            return ids, np.concatenate([p.values for p in parts])
+        parts = [self.chunk(i).column(self.id_column, col)
+                 for i in range(len(self.chunks))]
+        ids = np.concatenate([p[0] for p in parts])
+        if all(p[2] == typ for p in parts):
+            return ids, np.concatenate([p[1] for p in parts])
         # appends that typed the column otherwise: cast as a scan does
         return ids, self.scan([col])[col].to_numpy(zero_copy_only=False)
 

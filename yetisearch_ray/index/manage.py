@@ -80,7 +80,7 @@ def delete_by_prefix(index_dir: str, column: str, prefix: str) -> int:
     man = Manifest.load(index_dir)
     id_col = man.config["id_column"]
     with DocStore.committed(index_dir, man) as store:
-        t = store.column(column)
+        t = store.scan([id_col, column])
     mask = pc.starts_with(pc.cast(t[column], pa.string()), prefix)
     ids = t.filter(mask)[id_col].to_pylist()
     if ids:

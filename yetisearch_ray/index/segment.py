@@ -30,26 +30,23 @@ manifest's ``gen:part`` entry records it.  The id, not the file
 name, identifies a segment: ``optimize_index``, ``rebuild_index``,
 ``clear_index`` and dropping and re-creating an index all reuse the
 ``part=KKKKK-gGGG`` names.  A file whose id differs from the one its
-reader's manifest commits raises ``CorruptSegmentError``.
+reader's manifest commits raises ``CorruptSegmentError``, saying the
+reader's snapshot was superseded if the current manifest has moved on.
 
-**Sharing.**  The resident state of a committed segment — its
-dictionary arrays (``TermDictionary``) — is immutable and loaded once
-per process: a weak registry keyed by ``(realpath(index_dir), part,
-gen, seg_id)`` hands the loaded copy to every reader whose manifest
-commits that segment (the reuse of unchanged segments of Lucene's
-``openIfChanged``).  ``docstore.py`` shares chunk columns through the
-same ``_shared``.
+**Sharing.**  An open committed segment (``Segment``: its ``.blk``
+descriptor and its dictionary arrays, read-only) is one object per
+process: a weak registry keyed by ``(realpath(index_dir), part, gen,
+seg_id)`` hands it to every reader whose manifest commits that segment
+(the reuse of unchanged segments of Lucene's ``openIfChanged``).
+``docstore.py`` shares open chunks through the same ``_shared``.
 
-**Lifetime.**  A ``SegmentSet`` takes strong references to the live
-entries of its snapshot when it is built and loads and registers the
-rest on first touch, so a reader opened after a write reuses what the
-reader before it loaded, and an entry lives exactly as long as some
-reader holds it; there is no cache size.  Each reader keeps its own
-open ``.blk`` per loaded segment, checked against the size and the
-file its dictionary addresses, so a segment that is rewritten later
-(``optimize_index``) keeps serving the bytes its loaded dictionary
-addresses.  ``SegmentSet.close`` releases the descriptors, not the
-shared state.
+**Lifetime.**  A ``SegmentSet`` takes the live segments of its snapshot
+from the registry when it is built and opens the rest on first touch;
+a descriptor closes when the last holder drops its segment (no cache
+size), and a held segment serves its bytes even after its name is
+rewritten (``optimize_index``).  ``close`` drops a set's references; a
+``Segment`` built directly (``cli verify``, ``optimize_index``) is
+private and closes on ``close``, a registered one only when dropped.
 
 A segment file that is damaged — one that does not parse,
 a ``.blk`` of the wrong size, a short read, a block that does not
@@ -73,6 +70,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .manifest import Manifest
+
 BLOCK_SIZE = 16 * 1024  # raw bytes per block (larger measured no smaller)
 
 _CODEC = pa.Codec("zstd")
@@ -91,11 +90,11 @@ _STATS = ("term", "field", "df", "cf")
 # one run as read back: (field, docs, tfs, pos) encoded blobs
 Record = tuple[int, bytes, bytes, bytes]
 
-# the shared state of committed segments, by (realpath, part, gen, seg_id);
-# process-wide on purpose: every reader of the process is to find it, and
-# the weak values leave its lifetime to the readers that hold it
+# the open committed segments, by (realpath, part, gen, seg_id);
+# process-wide on purpose: every reader of the process is to find them,
+# and the weak values leave their lifetime to the readers that hold them
 _LOCK = threading.Lock()
-_DICTIONARIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SEGMENTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class CorruptSegmentError(OSError):
@@ -134,16 +133,32 @@ _realpath = functools.lru_cache(maxsize=64)(os.path.realpath)
 
 
 def _shared(registry, key, load):
-    """The registered state of ``key``, loaded (``load()``) and
-    registered if no reader holds it.  Two threads may both load; the
-    first to register wins."""
+    """The registered handle of ``key``, opened (``load()``) and
+    registered if no reader holds it; a registered handle's ``close``
+    does nothing.  Two threads may both open; the first to register
+    wins, the other's copy closes as it is dropped."""
     with _LOCK:
         got = registry.get(key)
     if got is None:
         got = load()
+        got.shared = True
         with _LOCK:
             got = registry.setdefault(key, got)
     return got
+
+
+def _superseded(e: OSError, index_dir: str, what: str,
+                still_commits) -> OSError:
+    """``e``, raised opening ``what`` of a reader's snapshot, or one of
+    its type saying so if the index's current manifest ``m`` no longer
+    commits it (``still_commits(m)`` is false)."""
+    try:
+        if still_commits(Manifest.load(index_dir)):
+            return e
+    except (OSError, ValueError):
+        return e
+    return type(e)(f"{what} of {index_dir}: the snapshot of this reader "
+                   f"was superseded by a later commit; open the index again")
 
 
 def _segment_id(meta, want: str | None, what: str, where: str) -> str:
@@ -160,7 +175,7 @@ def _segment_id(meta, want: str | None, what: str, where: str) -> str:
 def _replace_atomically(path: str, write) -> None:
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".seg-")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
             write(f)
@@ -231,14 +246,38 @@ def write_segment(index_dir: str, part: int, gen: int, terms: list,
     return blk_bytes + os.path.getsize(dict_path)
 
 
-class TermDictionary:
-    """The resident part of one segment: its dictionary table, the
-    sorted terms, fields and run addresses a lookup reads, and the
-    ``.blk`` it addresses (size and ``(st_dev, st_ino)``), all
-    read-only; shared (see the module docstring)."""
+class Segment:
+    """One committed segment, open: its ``.blk`` descriptor and its
+    dictionary table, sorted terms, fields and run addresses, read-only
+    (``seg_id``, its manifest's, checked when given)."""
 
-    def __init__(self, path: str, where: str, seg_id: str | None,
-                 blk: os.stat_result):
+    shared = False
+
+    def __init__(self, index_dir: str, part: int, gen: int,
+                 seg_id: str | None = None):
+        self.part, self.gen = part, gen
+        dict_path, blk_path = segment_paths(index_dir, part, gen)
+        self.where = _where(index_dir, part, gen)
+        try:
+            self._fd = os.open(blk_path, os.O_RDONLY | os.O_CLOEXEC)
+        except FileNotFoundError as e:
+            raise FileNotFoundError(
+                f"posting segment of {self.where} missing: the manifest "
+                f"commits it") from e
+        # closes the descriptor once no one holds the segment
+        self._close = weakref.finalize(self, os.close, self._fd)
+        try:
+            self._load(dict_path, seg_id)
+            size = os.fstat(self._fd).st_size
+            if size != self.blk_bytes:
+                raise CorruptSegmentError(
+                    f"posting blocks of {self.where} are {size} bytes, "
+                    f"their dictionary addresses {self.blk_bytes}")
+        except BaseException:
+            self._close()
+            raise
+
+    def _load(self, path: str, seg_id: str | None) -> None:
         try:
             with pq.ParquetFile(path) as pf:
                 t = pf.read()
@@ -247,67 +286,27 @@ class TermDictionary:
             self.blk_bytes = int(t.schema.metadata[_BLK_SIZE_KEY])
         except FileNotFoundError as e:
             raise FileNotFoundError(
-                f"term dictionary of {where} missing: the manifest "
+                f"term dictionary of {self.where} missing: the manifest "
                 f"commits it") from e
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise CorruptSegmentError(
-                f"damaged term dictionary of {where}: {e}") from e
+                f"damaged term dictionary of {self.where}: {e}") from e
         self.seg_id = _segment_id(t.schema.metadata, seg_id,
-                                  "term dictionary", where)
-        self.blk_file = (blk.st_dev, blk.st_ino)
+                                  "term dictionary", self.where)
         self.table = t
         self.terms = t["term"].to_numpy(zero_copy_only=False)
         self.fields = t["field"].to_numpy()
-        self.addr = np.stack([t[c].to_numpy().astype(np.int64)
-                              for c in _ADDR], axis=1)
-        self.terms.flags.writeable = self.addr.flags.writeable = False
-
-
-class Segment:
-    """One committed segment: its dictionary resident (shared when
-    ``seg_id``, its manifest's, is given; else a private, unchecked
-    copy), its own ``.blk`` descriptor, its blocks read on demand."""
-
-    def __init__(self, index_dir: str, part: int, gen: int,
-                 seg_id: str | None = None):
-        self.part, self.gen = part, gen
-        dict_path, blk_path = segment_paths(index_dir, part, gen)
-        self.where = _where(index_dir, part, gen)
-        try:
-            self._blk = open(blk_path, "rb", buffering=0)
-        except FileNotFoundError as e:
-            raise FileNotFoundError(
-                f"posting segment of {self.where} missing: the manifest "
-                f"commits it") from e
-        try:
-            st = os.fstat(self._blk.fileno())
-
-            def load():
-                return TermDictionary(dict_path, self.where, seg_id, st)
-
-            d = (load() if seg_id is None else _shared(
-                _DICTIONARIES, (_root(index_dir), part, gen, seg_id), load))
-            if st.st_size != d.blk_bytes:
-                raise CorruptSegmentError(
-                    f"posting blocks of {self.where} are {st.st_size} "
-                    f"bytes, their dictionary addresses {d.blk_bytes}")
-            if (st.st_dev, st.st_ino) != d.blk_file:
-                raise CorruptSegmentError(
-                    f"posting blocks of {self.where} were replaced after "
-                    f"their dictionary was loaded")
-        except BaseException:
-            self._blk.close()
-            raise
-        self.dictionary = d
-        self.seg_id = d.seg_id
-        self.table, self.terms, self.fields = d.table, d.terms, d.fields
-        self._addr = d.addr
+        self._addr = np.stack([t[c].to_numpy().astype(np.int64)
+                               for c in _ADDR], axis=1)
+        self.terms.flags.writeable = self._addr.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def close(self) -> None:
-        self._blk.close()
+        """Close a private segment's descriptor (not a registered one's)."""
+        if not self.shared:
+            self._close()
 
     def __enter__(self) -> "Segment":
         return self
@@ -316,7 +315,7 @@ class Segment:
         self.close()
 
     def _block(self, off: int, clen: int, raw: int) -> bytes:
-        buf = os.pread(self._blk.fileno(), clen, off)
+        buf = os.pread(self._fd, clen, off)
         if len(buf) != clen:
             raise CorruptSegmentError(
                 f"truncated posting blocks of {self.where}: read "
@@ -370,10 +369,10 @@ class Segment:
 
 class SegmentSet:
     """The segments one manifest snapshot commits (``part -> gens``, with
-    ``seg_ids``: ``(part, gen) -> segment id``).  Each partition's
-    dictionaries load on its first touch; what another reader of this
-    process already holds is reused (see the module docstring).
-    Segments of generations outside the snapshot are never opened."""
+    ``seg_ids``: ``(part, gen) -> segment id``), each opened on its
+    partition's first touch unless another reader of this process holds
+    it (see the module docstring).  Segments of generations outside the
+    snapshot are never opened."""
 
     def __init__(self, index_dir: str, part_gens: dict[int, Iterable[int]],
                  seg_ids: dict[tuple[int, int], str] | None = None):
@@ -381,41 +380,42 @@ class SegmentSet:
         self.part_gens = {int(p): sorted(int(g) for g in gs)
                           for p, gs in part_gens.items()}
         self.seg_ids = dict(seg_ids or {})
-        self._loaded: dict[int, list[Segment]] = {}
-        # strong references to the shared state of this snapshot, taken
-        # from the registry now (what other readers hold) or at first load
-        self._dictionaries: dict[tuple[int, int], TermDictionary] = {}
-        root = _root(index_dir)
+        self._root = _root(index_dir)
+        # the segments this set holds, by (part, gen): taken from the
+        # registry now (what other readers hold) or at first touch
         with _LOCK:
-            for (p, g), sid in self.seg_ids.items():
-                got = _DICTIONARIES.get((root, p, g, sid))
-                if got is not None:
-                    self._dictionaries[p, g] = got
+            self._held: dict[tuple[int, int], Segment] = {
+                pg: seg for pg, sid in self.seg_ids.items()
+                if (seg := _SEGMENTS.get((self._root, *pg, sid)))
+                is not None}
+
+    def _acquire(self, part: int, gen: int) -> Segment:
+        sid = self.seg_ids.get((part, gen))
+        if sid is None:
+            return Segment(self.index_dir, part, gen)
+        try:
+            return _shared(_SEGMENTS, (self._root, part, gen, sid),
+                           lambda: Segment(self.index_dir, part, gen, sid))
+        except (FileNotFoundError, CorruptSegmentError) as e:
+            raise _superseded(e, self.index_dir, f"posting segment "
+                              f"{segment_name(part, gen)}", lambda m:
+                              m.segment_ids().get((part, gen)) == sid) from e
 
     def partition(self, part: int) -> list[Segment]:
-        segs = self._loaded.get(part)
-        if segs is None:
-            segs = []
-            try:
-                for g in self.part_gens.get(part, ()):
-                    segs.append(Segment(self.index_dir, part, g,
-                                        self.seg_ids.get((part, g))))
-            except OSError:
-                for seg in segs:
-                    seg.close()
-                raise
-            for seg in segs:
-                self._dictionaries[part, seg.gen] = seg.dictionary
-            self._loaded[part] = segs
+        segs = []
+        for g in self.part_gens.get(part, ()):
+            seg = self._held.get((part, g))
+            if seg is None:
+                seg = self._held[part, g] = self._acquire(part, g)
+            segs.append(seg)
         return segs
 
     def close(self) -> None:
-        """Close every loaded segment's ``.blk``; later reads reopen
-        them.  The shared state stays held."""
-        for segs in self._loaded.values():
-            for seg in segs:
-                seg.close()
-        self._loaded.clear()
+        """Drop this set's segments (closing the private ones); later
+        reads re-acquire them."""
+        for seg in self._held.values():
+            seg.close()
+        self._held.clear()
 
     def records(self, term: str, parts: Iterable[int]) -> list[Record]:
         """A term's runs across ``parts`` and every generation of each."""

@@ -122,7 +122,7 @@ class IndexReader:
         self._cache: OrderedDict[str, dict[int, Posting]] = OrderedDict()
         self._cache_max = cache_terms
         # the same snapshot of the docstore: chunks open on first touch,
-        # their columns shared as the segments are
+        # shared as the segments are
         self._docstore = DocStore.committed(index_dir, self.manifest,
                                             max_generation)
         self._doc_meta: dict[str, np.ndarray] | None = None
@@ -265,9 +265,9 @@ class IndexReader:
         return out
 
     def close(self) -> None:
-        """Release the open segment and docstore files (the reader stays
-        usable: a later read reopens what it needs).  The shared segment
-        state it holds stays held until the reader is dropped."""
+        """Drop this reader's references to its open files (each closes
+        once no reader of the process holds it); the reader stays usable
+        and a later read re-acquires what it needs."""
         self._segments.close()
         self._docstore.close()
 
