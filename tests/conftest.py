@@ -50,3 +50,19 @@ def built_index(ray_session, tiny_corpus_dir, tmp_path_factory):
     )
     build_index(ds, idx_dir, cfg, input_fingerprint="tiny300")
     return idx_dir
+
+
+@pytest.fixture(scope="session")
+def perfbench_queries():
+    """``QUERY_SET`` and ``DOCS_PROBE`` of ``perfbench/workloads.py``,
+    read without importing the benchmark."""
+    import ast
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "workloads.py")) as f:
+        tree = ast.parse(f.read())
+    got = {t.id: ast.literal_eval(node.value) for node in tree.body
+           if isinstance(node, ast.Assign) for t in node.targets
+           if isinstance(t, ast.Name)
+           and t.id in ("QUERY_SET", "DOCS_PROBE")}
+    return got["QUERY_SET"], got["DOCS_PROBE"]

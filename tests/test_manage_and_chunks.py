@@ -2,6 +2,7 @@
 multi-index union, dedup-by-route over chunks."""
 
 import os
+import re
 import shutil
 
 import numpy as np
@@ -314,6 +315,52 @@ class TestIncrementalAppend:
         after = eng2.search("newer", limit=50, normalize=False)["doc_id"].to_pylist()
         assert sorted(before) == sorted(after)
         assert eng2.index.n_docs == 15
+
+    def test_append_of_committed_ids_is_refused(self, tmp_path):
+        """An append repeating a committed doc id raises, names the id,
+        removes what it wrote and leaves the last commit as it was."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from yetisearch_ray.index.manifest import Manifest
+
+        def tab(ids):
+            return rd.from_arrow(pa.table({
+                "doc_id": pa.array(ids, pa.uint64()),
+                "text": [f"alpha doc{i}" for i in ids]}))
+
+        idx = str(tmp_path / "idx")
+        cfg = IndexConfig(fields=[("text", "text")], store_columns=["text"],
+                          num_partitions=4)
+        build_index(tab([0, 1, 2]), idx, cfg, balance_hot_terms=False)
+        files = sorted(os.listdir(os.path.join(idx, "postings"))
+                       + os.listdir(os.path.join(idx, "docs")))
+        man = Manifest.load(idx).data
+        # a committed id; an id twice in one block; an id twice across
+        # two record batches of one chunk (the second starts at row 128)
+        for ids, named in (([1, 3], [1]), ([3, 3], [3]),
+                           (list(range(3, 131)) + [130], [130])):
+            with pytest.raises(ValueError, match=r"repeats doc ids .*"
+                               + re.escape(str(named))):
+                build_index(tab(ids), idx, cfg, append=True,
+                            balance_hot_terms=False)
+            assert Manifest.load(idx).data == man
+            assert sorted(os.listdir(os.path.join(idx, "postings"))
+                          + os.listdir(os.path.join(idx, "docs"))) == files
+        # a block spanning a committed chunk's very id range fails in the
+        # ingest, before it could replace that chunk
+        with pytest.raises(Exception, match=r"repeats doc ids .*\[0, 2\]"):
+            build_index(tab([0, 1, 2]), idx, cfg, append=True,
+                        balance_hot_terms=False)
+        assert Manifest.load(idx).data == man
+        reader = open_index(idx)
+        assert reader.n_docs == 3 and reader.docs([1]).num_rows == 1
+        assert reader.docs([0, 1, 2])["text"].to_pylist() == [
+            "alpha doc0", "alpha doc1", "alpha doc2"]
+        # an append above every committed id still commits
+        build_index(tab([3, 4]), idx, cfg, append=True,
+                    balance_hot_terms=False)
+        assert open_index(idx).n_docs == 5
 
     def test_hot_term_map_persisted_and_used(self, tmp_path, tiny_corpus_dir):
         from yetisearch_ray.index.manifest import Manifest

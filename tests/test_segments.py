@@ -342,6 +342,53 @@ class TestVerify:
             other, limit=100).num_rows > 0
 
 
+    def test_verify_reports_a_repeated_position(self, tmp_path):
+        """A run whose position stream keeps its length but repeats a
+        position within a doc: ``verify`` exits 1 naming its partition,
+        generation, term and the position order."""
+        d, part, _ = _damage_index(tmp_path)
+        with Segment(d, part, 0) as seg:
+            rows, seg_id = list(seg.runs()), seg.seg_id
+        term, pos_blobs = None, []
+        for name, _, _, (_, db, tb, pb) in rows:
+            ids, tfs, pos = decode_postings(db, tb, pb)
+            if term is None and pos is not None and (tfs > 1).any():
+                term, pos = name, pos.copy()
+                at = int(tfs[:int(np.argmax(tfs > 1))].sum())
+                pos[at + 1] = pos[at]
+                pb2 = encode_postings(ids, tfs, pos)[2]
+                assert len(pb2) == len(pb) and pb2 != pb
+                pb = pb2
+            pos_blobs.append(pb)
+        assert term is not None
+        write_segment(d, part, 0, [r[0] for r in rows],
+                      [r[3][0] for r in rows], [r[1] for r in rows],
+                      [r[2] for r in rows], [r[3][1] for r in rows],
+                      [r[3][2] for r in rows], pos_blobs, seg_id)
+        code, out = _verify(d)
+        assert code == 1 and not out["ok"]
+        (problem,) = out["problems"]
+        assert problem.startswith(f"partition {part:05d} generation 0 ")
+        assert problem.endswith(f"term {term!r} position order mismatch")
+
+    def test_short_position_stream_raises_on_a_term_query(self, tmp_path):
+        """Positions are expanded only when read, but a position stream
+        of the wrong length still fails the fetch of a one-term query."""
+        d, part, other = _damage_index(tmp_path)
+        with Segment(d, part, 0) as seg:
+            rows, seg_id = list(seg.runs()), seg.seg_id
+        short = [r[3][3][:-1] if r[0] == "w3" else r[3][3] for r in rows]
+        write_segment(d, part, 0, [r[0] for r in rows],
+                      [r[3][0] for r in rows], [r[1] for r in rows],
+                      [r[2] for r in rows], [r[3][1] for r in rows],
+                      [r[3][2] for r in rows], short, seg_id)
+        eng = SearchEngine(open_index(d), cache_ttl=0.0)
+        with pytest.raises(ValueError, match="position stream"):
+            eng.search("w3", mode="or")
+        assert "w3" not in eng.index._cache
+        assert eng.search(other, limit=100).num_rows > 0
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_format_1_index_is_refused_until_rebuilt(tmp_path):
     from yetisearch_ray.index.manage import optimize_index, rebuild_index

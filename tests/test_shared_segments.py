@@ -42,7 +42,6 @@ writes around them.
   its sort (the ``groupby("part")`` exchange), not from our operators.
 """
 
-import ast
 import gc
 import json
 import os
@@ -364,18 +363,6 @@ def _reads(eng):
              .to_pylist() for q in QUERIES])
 
 
-def _perfbench_queries():
-    """``QUERY_SET`` and ``DOCS_PROBE`` of ``perfbench/workloads.py``,
-    read without importing the benchmark."""
-    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as f:
-        tree = ast.parse(f.read())
-    got = {t.id: ast.literal_eval(node.value) for node in tree.body
-           if isinstance(node, ast.Assign) for t in node.targets
-           if isinstance(t, ast.Name)
-           and t.id in ("QUERY_SET", "DOCS_PROBE")}
-    return got["QUERY_SET"], got["DOCS_PROBE"]
-
-
 class _Opens:
     """Spy on the opens of files under ``d`` the way ``segment.py`` and
     ``docstore.py`` open them: a ``.blk`` (``os.open``), a dictionary
@@ -401,7 +388,8 @@ class _Opens:
 
 @pytest.mark.usefixtures("ray_session")
 def test_fresh_reader_of_a_held_snapshot_opens_no_file(tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       perfbench_queries):
     """The benchmark's ``update`` read pass (its query set, then its
     docs probes with docs and highlights) on a reader opened afresh
     while a reader of the same snapshot that ran it is alive opens no
@@ -412,7 +400,7 @@ def test_fresh_reader_of_a_held_snapshot_opens_no_file(tmp_path,
     from yetisearch_ray.index.build import IndexConfig, build_index
     from yetisearch_ray.sources.corpus import generate_code_corpus
 
-    query_set, docs_probe = _perfbench_queries()
+    query_set, docs_probe = perfbench_queries
 
     def read_pass(eng):
         return ([eng.search(q, limit=10, **kw).to_pylist()

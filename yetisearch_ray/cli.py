@@ -290,6 +290,17 @@ def cmd_optimize(args):
     print(json.dumps(optimize_index(args.index)))
 
 
+def _positions_ascend(pos, tfs) -> bool:
+    """Whether each doc's positions (flat ``pos``, per-doc counts
+    ``tfs``) ascend strictly, as the phrase kernel assumes."""
+    import numpy as np
+
+    up = pos[1:] > pos[:-1]
+    # a doc's first position need not exceed the previous doc's last
+    up[(np.cumsum(tfs.astype(np.int64)) - 1)[:-1]] = True
+    return bool(up.all())
+
+
 def _verify_segment(seg, problems: list) -> int:
     """Decode every run of one segment, checking it against its
     dictionary row; returns the runs checked."""
@@ -314,6 +325,7 @@ def _verify_segment(seg, problems: list) -> int:
             ("doc-id order", ids.size < 2
              or bool((np.diff(ids.astype(np.int64)) > 0).all())),
             ("positions", pos is None or pos.size == cf),
+            ("position order", pos is None or _positions_ascend(pos, tfs)),
         ) if not ok]
         if bad:
             problems.append(f"{seg.where}: term {term!r} "
@@ -371,7 +383,8 @@ def cmd_verify(args):
     """Integrity check: manifest committed, every committed segment
     present and readable with its manifest entry's segment id, every
     run decodable with the df, cf and strictly ascending doc ids its
-    dictionary row claims, dictionaries sorted, every committed docstore
+    dictionary row claims and each doc's positions strictly ascending
+    (the phrase kernel assumes it), dictionaries sorted, every committed docstore
     chunk readable with its entry's chunk id, strictly ascending ids in
     its batch ranges and one doc length per row, and the stats equal to
     the chunks' sums.  Exits 1 on any problem."""

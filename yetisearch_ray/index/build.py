@@ -45,6 +45,7 @@ Scale design:
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -55,7 +56,7 @@ import pyarrow as pa
 from . import docstore
 from .manifest import Manifest
 from .postings import encode_postings, encode_postings_bulk
-from .segment import new_segment_id, write_segment
+from .segment import new_segment_id, segment_paths, write_segment
 from ..analysis.tokenizer import tokenize_batch, tokenize_batch_dict
 
 # pandas' siphash with this fixed key is deterministic across processes —
@@ -307,14 +308,23 @@ def _docstore_table(cfg: IndexConfig, t: pa.Table) -> pa.Table:
 
 
 def _write_docstore_chunk(cfg: IndexConfig, index_dir: str, t: pa.Table,
-                          dl: np.ndarray, committed: frozenset[str]) -> None:
+                          dl: np.ndarray, committed: frozenset[str],
+                          append: bool) -> None:
     """The batch's docstore chunk and its doc lengths ``dl``: named by
     its doc_id range (each ingest batch covers a contiguous range),
     written tmp+rename — re-execution (a task retry) overwrites the same
     file, and a resume skips a chunk its manifest already ``committed``.
+    A committed chunk is never replaced: an append whose batch spans the
+    very id range of one repeats its first and last id, and raises.
     The build's commit lists it in the manifest (``docstore.new_chunks``)."""
     ids = t[cfg.id_column].to_numpy(zero_copy_only=False)
-    if docstore.chunk_name(int(ids.min()), int(ids.max())) not in committed:
+    lo, hi = int(ids.min()), int(ids.max())
+    name = docstore.chunk_name(lo, hi)
+    if name in committed and append:
+        raise ValueError(f"append to {index_dir} repeats doc ids it "
+                         f"already holds: {sorted({lo, hi})} (committed "
+                         f"chunk {name}); nothing was committed")
+    if name not in committed:
         docstore.write_chunk(index_dir, _docstore_table(cfg, t),
                              cfg.id_column, dl)
 
@@ -328,7 +338,8 @@ def _emit_postings_batch(cfg: IndexConfig, skip_parts: frozenset[int],
                          index_dir: str | None = None,
                          hot_map: dict | None = None,
                          split_map: dict | None = None,
-                         committed_chunks: frozenset[str] = frozenset()):
+                         committed_chunks: frozenset[str] = frozenset(),
+                         append: bool = False):
     """The single INGEST pass: tokenize → per-partition IPC blobs.
 
     Per input batch (vectorized, zero-copy Arrow):
@@ -408,7 +419,7 @@ def _emit_postings_batch(cfg: IndexConfig, skip_parts: frozenset[int],
             parts_out.append(pa.table(cols))
         if index_dir is not None and t.num_rows:
             _write_docstore_chunk(cfg, index_dir, t, dl_total,
-                                  committed_chunks)
+                                  committed_chunks, append)
         if not parts_out:
             return _NO_BLOBS
         out_t = pa.concat_tables(parts_out, promote_options="default")
@@ -560,6 +571,32 @@ def _build_segment(index_dir: str, want_pos: bool, gen: int = 0):
 # --------------------------------------------------------------------------
 
 
+def _appended_chunks(index_dir: str, man: Manifest, gen: int) -> list[dict]:
+    """The entries of the chunks an append wrote, for its commit.  If one
+    of its doc ids repeats among them or is already committed (or a chunk
+    it wrote cannot be read), remove the files the append wrote (its
+    chunks and its generation's segments) and raise, a repeat as
+    ``ValueError``, so the manifest stays at its last commit."""
+    committed = man.docstore_chunks()
+    try:
+        repeats = docstore.repeated_ids(index_dir, committed,
+                                        man.config["id_column"])
+        if repeats.size:
+            raise ValueError(
+                f"append to {index_dir} repeats doc ids it already holds: "
+                f"{repeats[:5].tolist()}; nothing was committed")
+        new = docstore.new_chunks(index_dir, committed)
+    except (ValueError, OSError):
+        docstore.remove_chunks(index_dir, docstore.uncommitted_chunks(
+            index_dir, committed))
+        for part, g, _ in man.partition_entries():
+            for path in segment_paths(index_dir, part, g) if g == gen else ():
+                if os.path.exists(path):
+                    os.remove(path)
+        raise
+    return new
+
+
 def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
                 append: bool = False, input_fingerprint: str = "",
                 balance_hot_terms: bool = True,
@@ -572,9 +609,11 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
     the per-partition metrics rows.
 
     - ``resume=True``  — skip partitions already committed (same gen).
-    - ``append=True``  — incremental indexing: new docs (caller guarantees
-      doc_id uniqueness) go into a NEW segment generation per partition;
-      readers merge generations per term; ``optimize_index`` compacts.
+    - ``append=True``  — incremental indexing: new docs go into a NEW
+      segment generation per partition; readers merge generations per
+      term; ``optimize_index`` compacts.  An append whose doc ids repeat,
+      or are already committed, raises ``ValueError`` and commits
+      nothing.
     - ``balance_hot_terms`` — df-sketch pre-pass assigns the Zipf head to
       explicit partitions (persisted in the manifest) so no partition
       collects several ultra-hot code keywords by hash accident.
@@ -596,6 +635,8 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
         if man.data.get("config") != cfg.as_dict():
             raise ValueError("resume/append with different config; use a fresh index_dir")
         gens = man.generations()
+        committed_chunks = frozenset(
+            c["name"] for c in man.docstore_chunks())
         if append:
             gen = (max(gens) + 1) if gens else 0
         else:
@@ -603,8 +644,6 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
             skip = frozenset(
                 part for part, g, v in man.partition_entries()
                 if g == gen and v.get("status") == "committed")
-            committed_chunks = frozenset(
-                c["name"] for c in man.docstore_chunks())
         hot_map = man.data.get("hot_terms") or None
         split_map = man.data.get("split_terms") or None
     else:
@@ -633,7 +672,7 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
     # docstore chunk ranges are stable across runs and resumes
     emitted = ds.map_batches(
         _emit_postings_batch(cfg, skip, index_dir, hot_map, split_map,
-                             committed_chunks),
+                             committed_chunks, append),
         batch_format="pyarrow", batch_size=None)
     t_ex = time.perf_counter()
     metrics = (
@@ -667,8 +706,9 @@ def build_index(ds, index_dir: str, cfg: IndexConfig, *, resume: bool = False,
     # the docstore chunks this build wrote join the committed ones; the
     # stats are their sums
     chunks = man.docstore_chunks()
-    chunks += [{**c, "gen": gen}
-               for c in docstore.new_chunks(index_dir, chunks)]
+    new = (_appended_chunks(index_dir, man, gen) if append
+           else docstore.new_chunks(index_dir, chunks))
+    chunks += [{**c, "gen": gen} for c in new]
     man.finalize(sorted(chunks, key=lambda c: c["lo"]))
     man.save()
     return man

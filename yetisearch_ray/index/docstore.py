@@ -136,18 +136,52 @@ def uncommitted_chunks(index_dir: str, committed: Iterable[dict]
                   and n not in known)
 
 
+def _span(name: str) -> tuple[int, int]:
+    """The id range a chunk's name records."""
+    lo, hi = (int(x) for x in name[5:-6].split("-"))
+    return lo, hi
+
+
 def new_chunks(index_dir: str, committed: Iterable[dict]) -> list[dict]:
     """Entries of the chunks in ``docs/`` that ``committed`` does not
     list, sorted by id: what a build wrote, for its commit."""
     d = docs_dir(index_dir)
     out = []
     for name in uncommitted_chunks(index_dir, committed):
-        lo, hi = (int(x) for x in name[5:-6].split("-"))
+        lo, hi = _span(name)
         with _Chunk(d, {"name": name, "lo": lo, "hi": hi}) as ch:
             out.append(_entry(name, ch.rows, lo, hi,
                               os.path.getsize(ch.path), ch.sum_dl,
                               ch.chunk_id))
     return out
+
+
+def repeated_ids(index_dir: str, committed: list[dict],
+                 id_column: str) -> np.ndarray:
+    """The sorted doc ids that the chunks ``committed`` does not list
+    (what a build wrote) hold more than once between them or that one of
+    the ``committed`` entries holds too.  Reads the ids of the new
+    chunks, unchecked (a new chunk may hold an id twice, even across two
+    of its batches), and of the committed chunks whose id range overlaps
+    one of theirs."""
+    d = docs_dir(index_dir)
+    names = uncommitted_chunks(index_dir, committed)
+    spans = [_span(n) for n in names]
+    near = [c for c in committed
+            if any(c["lo"] <= hi and lo <= c["hi"] for lo, hi in spans)]
+    ids = [np.empty(0, np.uint64)]
+    for name in names:
+        with pa.memory_map(os.path.join(d, name)) as m:
+            col = pa.ipc.open_file(m).schema.get_field_index(id_column)
+            t = pa.ipc.open_file(
+                m, options=_read_options(included_fields=[col])).read_all()
+            ids.append(t[id_column].to_numpy(zero_copy_only=False)
+                       .astype(np.uint64))
+    for c in near:
+        with _Chunk(d, c) as ch:
+            ids.append(ch.column(id_column, id_column)[0])
+    ids = np.sort(np.concatenate(ids))
+    return np.unique(ids[1:][ids[1:] == ids[:-1]])
 
 
 def remove_chunks(index_dir: str, names: Iterable[str]) -> None:

@@ -33,7 +33,8 @@ import pyarrow.parquet as pq
 from . import docstore
 from .docstore import DocStore
 from .manifest import Manifest
-from .postings import decode_postings, encode_postings
+from .postings import (decode_docs, encode_postings, merge_docs,
+                       merge_positions)
 from .segment import Segment, new_segment_id, segment_paths, write_segment
 
 
@@ -145,18 +146,17 @@ def _merge_partition(index_dir: str, part: int, gens: list[int],
     (term, field), merge postings positions-preserving, drop tombstoned
     docs, write atomically, then remove the merged-away generations.
     Returns the new entry's terms and seg_id."""
-    from .postings import merge_postings
-
     seg_id = new_segment_id()
     groups: dict[tuple, list] = {}
     for gen in gens:
         with Segment(index_dir, part, gen, seg_ids[part, gen]) as seg:
             for term, _, _, (fid, d, f, p) in seg.runs():
                 groups.setdefault((term, fid), []).append(
-                    decode_postings(d, f, p))
+                    decode_docs(d, f, p))
     out = {c: [] for c in ("term", "field", "df", "cf", "docs", "tfs", "pos")}
     for term, fid in sorted(groups):
-        d, f, p = merge_postings(groups[(term, fid)])
+        d, f, runs = merge_docs(groups[(term, fid)])
+        p = None if runs is None else merge_positions(f, *runs)
         if dead.size:
             keep = ~np.isin(d, dead)
             if not keep.all():

@@ -9,9 +9,10 @@ highlights.
 
 Architecture: ``IndexReader`` is the stateful piece — manifest + corpus
 stats + doc-metadata arrays resident, postings decoded on demand with an
-LRU cache; the segment dictionaries and the docstore columns (doc
-lengths, filter columns) it reads are shared with the other readers of
-the process (``index/segment.py``, ``index/docstore.py``).
+LRU cache (a term's positions only when a positional arm reads them);
+the segment dictionaries and the docstore columns (doc lengths, filter
+columns) it reads are shared with the other readers of the process
+(``index/segment.py``, ``index/docstore.py``).
 ``SearchActor`` wraps an engine as a ``map_batches`` callable class so
 query serving runs as a Ray actor pool (state loaded once per actor in
 ``__init__``, per reference §2.3's cache/dictionary actors).
@@ -47,7 +48,7 @@ from ..functions.geo import distance_blend, haversine_km, in_bounds, near_mask
 from ..index.build import term_partition
 from ..index.docstore import DL_COLUMN, DocStore
 from ..index.manifest import Manifest
-from ..index.postings import decode_postings, merge_postings
+from ..index.postings import decode_docs, merge_docs, merge_positions
 from ..index.segment import Record, SegmentSet
 
 MAX_RESULTS = 1000  # reference clamp (src/Search/SearchEngine.php:661)
@@ -56,14 +57,40 @@ MAX_RESULTS = 1000  # reference clamp (src/Search/SearchEngine.php:661)
 _BOOST_RE = re.compile(r"(\S+)\^(\d+(?:\.\d+)?)")
 
 
-@dataclass
 class Posting:
-    doc_ids: np.ndarray
-    tfs: np.ndarray
-    positions: np.ndarray | None  # flat; boundaries via tfs
+    """One term's posting list in one field: ascending doc ids, their
+    tfs and the flat positions (per-doc boundaries given by tfs; None
+    when the list stores none).  A fetched list (``fetched``) keeps each
+    generation's position stream packed until ``positions`` is first
+    read, then expands and merges them once and drops the packed bytes
+    (``index/postings.py``): only the phrase, NEAR and span arms read
+    positions."""
 
+    __slots__ = ("doc_ids", "tfs", "_positions", "_runs", "_stats")
 
-_EMPTY = Posting(np.empty(0, np.uint64), np.empty(0, np.uint64), None)
+    def __init__(self, doc_ids: np.ndarray, tfs: np.ndarray,
+                 positions: np.ndarray | None):
+        self.doc_ids, self.tfs = doc_ids, tfs
+        self._positions = positions
+        self._runs = self._stats = None
+
+    @classmethod
+    def fetched(cls, runs: list, stats: Counter) -> "Posting":
+        """The merged list of one field's ``decode_docs`` runs (one per
+        generation); ``stats["position_decodes"]`` counts its expansion."""
+        doc_ids, tfs, packed = merge_docs(runs)
+        post = cls(doc_ids, tfs, None)
+        post._runs, post._stats = packed, stats
+        return post
+
+    @property
+    def positions(self) -> np.ndarray | None:
+        runs = self._runs  # read once: another thread may expand it too
+        if runs is not None:
+            self._positions = merge_positions(self.tfs, *runs)
+            self._runs = None
+            self._stats["position_decodes"] += 1
+        return self._positions
 
 
 class IndexReader:
@@ -121,6 +148,8 @@ class IndexReader:
             self.manifest.segment_ids(max_generation))
         self._cache: OrderedDict[str, dict[int, Posting]] = OrderedDict()
         self._cache_max = cache_terms
+        # postings-LRU counters: hits, misses, position_decodes
+        self._stats: Counter = Counter()
         # the same snapshot of the docstore: chunks open on first touch,
         # shared as the segments are
         self._docstore = DocStore.committed(index_dir, self.manifest,
@@ -249,20 +278,31 @@ class IndexReader:
 
     def postings(self, term: str) -> dict[int, Posting]:
         """field_id -> Posting for one term (LRU-cached); runs from
-        multiple segment generations are merged positions-preserving."""
+        multiple segment generations are merged, their positions when
+        first read (``Posting``)."""
         hit = self._cache.get(term)
         if hit is not None:
             self._cache.move_to_end(term)
+            self._stats["hits"] += 1
             return hit
+        self._stats["misses"] += 1
         by_field: dict[int, list] = {}
         for fid, d, f, p in self._term_records(term):
-            by_field.setdefault(fid, []).append(decode_postings(d, f, p))
-        out = {fid: Posting(*merge_postings(parts))
-               for fid, parts in by_field.items()}
+            by_field.setdefault(fid, []).append(decode_docs(d, f, p))
+        out = {fid: Posting.fetched(runs, self._stats)
+               for fid, runs in by_field.items()}
         self._cache[term] = out
         if len(self._cache) > self._cache_max:
             self._cache.popitem(last=False)
         return out
+
+    def postings_stats(self) -> dict:
+        """The postings LRU: ``terms`` it holds, ``hits`` and ``misses``
+        of ``postings``, and ``position_decodes``, the posting lists (one
+        term in one field) whose positions were expanded."""
+        return {"terms": len(self._cache),
+                **{k: self._stats[k]
+                   for k in ("hits", "misses", "position_decodes")}}
 
     def close(self) -> None:
         """Drop this reader's references to its open files (each closes
@@ -2324,9 +2364,12 @@ class SearchEngine:
     # (reference getCacheStats/clearCache/warmUpCache,
     #  src/YetiSearch.php:423-471)
     def cache_stats(self) -> dict:
+        """The result cache's counters, and the reader's postings-LRU
+        counters under ``postings`` (``IndexReader.postings_stats``)."""
         return {"entries": len(self._result_cache),
                 "hits": self._cache_hits, "misses": self._cache_misses,
-                "ttl": self._cache_ttl, "max_entries": self._cache_max}
+                "ttl": self._cache_ttl, "max_entries": self._cache_max,
+                "postings": self.index.postings_stats()}
 
     def clear_cache(self) -> None:
         self._result_cache.clear()
